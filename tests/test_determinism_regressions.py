@@ -24,6 +24,7 @@ from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import Message, Network
 from repro.sim.node import SimProcess
 from repro.sim.simulator import Simulator
+from test_scaleout_differential import SCENARIOS, _run
 
 # Captured at the pre-change HEAD (commit 2998957):
 # [committed_txs, blocks, view_changes, msgs_sent, msgs_delivered,
@@ -130,6 +131,83 @@ def test_sharded_system_fingerprints_unchanged(seed):
     finally:
         system.close()
     assert fingerprint == SYSTEM_GOLDENS[seed]
+
+
+#: Legacy-engine (``workers=None``) fingerprint of every scale-out matrix
+#: scenario, captured before the 2PC driver was shared between the engines.
+LEGACY_MATRIX_GOLDENS = {
+    "adversary-tee": {"committed": 121, "aborted": 29, "started": 150,
+        "per_shard_committed": {0: 151, 1: 141, 2: 149},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 0, "nodes_moved": 6,
+        "driver": (121, 29)},
+    "coordinator-crash": {"committed": 121, "aborted": 29, "started": 150,
+        "per_shard_committed": {0: 151, 1: 141, 2: 149},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 0, "nodes_moved": 0,
+        "driver": (121, 29)},
+    "epoch-auto": {"committed": 121, "aborted": 29, "started": 150,
+        "per_shard_committed": {0: 151, 1: 141, 2: 149},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 0, "nodes_moved": 6,
+        "driver": (121, 29)},
+    "epoch-swap-all": {"committed": 112, "aborted": 29, "started": 150,
+        "per_shard_committed": {0: 151, 1: 141, 2: 149},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 1, "nodes_moved": 9,
+        "driver": (112, 29)},
+    "epoch-swap-batch": {"committed": 121, "aborted": 29, "started": 150,
+        "per_shard_committed": {0: 151, 1: 141, 2: 149},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 1, "nodes_moved": 9,
+        "driver": (121, 29)},
+    "faults-redrive": {"committed": 120, "aborted": 30, "started": 150,
+        "per_shard_committed": {0: 151, 1: 141, 2: 149},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 0, "nodes_moved": 0,
+        "driver": (120, 30)},
+    "kvstore": {"committed": 61, "aborted": 89, "started": 150,
+        "per_shard_committed": {0: 194, 1: 214, 2: 200},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 0, "nodes_moved": 0,
+        "driver": (61, 89)},
+    "no-reference": {"committed": 121, "aborted": 29, "started": 150,
+        "per_shard_committed": {0: 151, 1: 141, 2: 149},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 0, "nodes_moved": 0,
+        "driver": (121, 29)},
+    "plain": {"committed": 121, "aborted": 29, "started": 150,
+        "per_shard_committed": {0: 151, 1: 141, 2: 149},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 0, "nodes_moved": 0,
+        "driver": (121, 29)},
+    "vote-drop": {"committed": 121, "aborted": 29, "started": 150,
+        "per_shard_committed": {0: 152, 1: 144, 2: 149},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 0, "nodes_moved": 0,
+        "driver": (121, 29)},
+    "vote-replay": {"committed": 121, "aborted": 29, "started": 150,
+        "per_shard_committed": {0: 151, 1: 141, 2: 149},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 0, "nodes_moved": 0,
+        "driver": (121, 29)},
+    "wait-policy": {"committed": 124, "aborted": 26, "started": 150,
+        "per_shard_committed": {0: 141, 1: 131, 2: 139},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 0, "nodes_moved": 0,
+        "driver": (124, 26)},
+    "wound-wait": {"committed": 150, "aborted": 0, "started": 150,
+        "per_shard_committed": {0: 151, 1: 141, 2: 149},
+        "view_changes": {0: 0, 1: 0, 2: 0},
+        "reconfigurations": 0, "nodes_moved": 0,
+        "driver": (150, 0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEGACY_MATRIX_GOLDENS))
+def test_legacy_engine_matrix_fingerprints_unchanged(name):
+    factory, reconfigure = SCENARIOS[name]
+    assert _run(None, factory(), reconfigure) == LEGACY_MATRIX_GOLDENS[name]
 
 
 # ------------------------------------------------------- broadcast hardening
