@@ -66,6 +66,22 @@ class DriverStats:
     def mean_latency(self) -> float:
         return self.latency_sum / self.latency_count if self.latency_count else 0.0
 
+    def record_completion(self, committed: bool, reason: Optional[str],
+                          latency: Optional[float], epoch: int) -> None:
+        """Account one finished transaction (completed in ``epoch``)."""
+        self.in_flight -= 1
+        if committed:
+            self.committed += 1
+            self.epoch_committed[epoch] = self.epoch_committed.get(epoch, 0) + 1
+        else:
+            self.aborted += 1
+            self.epoch_aborted[epoch] = self.epoch_aborted.get(epoch, 0) + 1
+            bucket = abort_bucket(reason)
+            self.abort_reasons[bucket] = self.abort_reasons.get(bucket, 0) + 1
+        if latency is not None:
+            self.latency_sum += latency
+            self.latency_count += 1
+
     def merge(self, other: "DriverStats") -> None:
         """Fold another driver's counters into this one (scale-out merging)."""
         self.submitted += other.submitted
@@ -85,12 +101,7 @@ class DriverStats:
 
 
 def abort_bucket(reason: Optional[str]) -> str:
-    """Classify an abort reason into a small fixed set of buckets.
-
-    Module-level so both driver implementations — the legacy in-process one
-    below and the scale-out engine's in-partition
-    :class:`repro.core.homecoord.PartitionDriver` — bucket identically.
-    """
+    """Classify an abort reason into a small fixed set of buckets."""
     if reason is None:
         return "other"
     if "locked by" in reason:
@@ -252,21 +263,9 @@ class OpenLoopDriver:
         self.system.runtime.schedule(self.batch_size / self.rate_tps, self._tick)
 
     def _on_complete(self, record: DistributedTxRecord) -> None:
-        stats = self._stats
-        stats.in_flight -= 1
-        epoch = self.system.current_epoch
-        if record.outcome is DistributedTxOutcome.COMMITTED:
-            stats.committed += 1
-            stats.epoch_committed[epoch] = stats.epoch_committed.get(epoch, 0) + 1
-        else:
-            stats.aborted += 1
-            stats.epoch_aborted[epoch] = stats.epoch_aborted.get(epoch, 0) + 1
-            bucket = abort_bucket(record.abort_reason)
-            stats.abort_reasons[bucket] = stats.abort_reasons.get(bucket, 0) + 1
-        latency = record.latency
-        if latency is not None:
-            stats.latency_sum += latency
-            stats.latency_count += 1
+        self._stats.record_completion(
+            record.outcome is DistributedTxOutcome.COMMITTED, record.abort_reason,
+            record.latency, self.system.current_epoch)
 
     # ------------------------------------------------------------------- runs
     def run_to_completion(self, drain_timeout: float = 120.0,

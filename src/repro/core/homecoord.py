@@ -8,9 +8,9 @@ all of it:
 
 * Every transaction gets a deterministic **home partition**
   (:func:`home_shard` — its first participating shard) that runs the full
-  coordinator state machine (:class:`HomeCoordinator`, a faithful port of
-  the legacy ``ShardedBlockchain`` coordination methods) inside the
-  partition's own sub-simulation.
+  coordinator state machine (:class:`HomeCoordinator`, an adapter around the
+  same :class:`~repro.txn.driver.TwoPhaseCommitDriver` the legacy
+  ``ShardedBlockchain`` uses) inside the partition's own sub-simulation.
 * Lock admission becomes **participant-side**: each partition keeps a local
   :class:`~repro.txn.locks.LockManager` mirror of its own lock table and
   votes PrepareNotOK on deadlocks/timeouts itself.  Wounds travel to the
@@ -46,24 +46,24 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import ShardedSystemConfig
-from repro.core.driver import DriverStats, abort_bucket
+from repro.core.driver import DriverStats
 from repro.core.splitters import splitter_for
 from repro.core.system import REFERENCE_SHARD_ID
 from repro.errors import SimulationError
 from repro.ledger.state import StateStore
 from repro.ledger.transaction import Transaction, TxStatus
+from repro.runtime.base import as_runtime
 from repro.txn.coordinator import (
     DistributedTxOutcome,
-    DistributedTxPhase,
     DistributedTxRecord,
     TwoPhaseCommitCoordinator,
 )
+from repro.txn.driver import TwoPhaseCommitDriver
 from repro.txn.locks import DeadlockDetected, LockManager
-from repro.txn.reference_committee import CoordinatorState, ReferenceCommitteeChaincode
 from repro.workloads.generator import WorkloadGenerator, shard_of_key
 
 #: ``src``/``origin``/``dest`` value naming the parent barrier orchestrator.
@@ -385,30 +385,14 @@ class PartitionDriver:
     # ------------------------------------------------------------ completion
     def on_local_complete(self, record: DistributedTxRecord) -> None:
         """The transaction's home was this partition: completion is direct."""
-        self._account(record.outcome is DistributedTxOutcome.COMMITTED,
-                      record.abort_reason, record.latency,
-                      self.partition.current_epoch)
+        self.stats.record_completion(
+            record.outcome is DistributedTxOutcome.COMMITTED, record.abort_reason,
+            record.latency, self.partition.current_epoch)
 
     def on_remote_done(self, command: Command) -> None:
         """A ``client_done`` arrived from the remote home partition."""
-        self._account(command.committed, command.reason, command.latency,
-                      command.epoch)
-
-    def _account(self, committed: bool, reason: Optional[str],
-                 latency: Optional[float], epoch: int) -> None:
-        stats = self.stats
-        stats.in_flight -= 1
-        if committed:
-            stats.committed += 1
-            stats.epoch_committed[epoch] = stats.epoch_committed.get(epoch, 0) + 1
-        else:
-            stats.aborted += 1
-            stats.epoch_aborted[epoch] = stats.epoch_aborted.get(epoch, 0) + 1
-            bucket = abort_bucket(reason)
-            stats.abort_reasons[bucket] = stats.abort_reasons.get(bucket, 0) + 1
-        if latency is not None:
-            stats.latency_sum += latency
-            stats.latency_count += 1
+        self.stats.record_completion(command.committed, command.reason,
+                                     command.latency, command.epoch)
 
 
 # --------------------------------------------------------------------------
@@ -429,13 +413,13 @@ class _Parked:
 class HomeCoordinator:
     """Both coordination roles of one shard partition.
 
-    **Home role** — the full 2PC coordinator state machine for every
-    transaction homed here: a faithful port of the legacy
-    ``ShardedBlockchain`` coordination methods with each parent<->shard
-    relay replaced by a routed :class:`Command` (and the reference committee
-    reached through ``ref_submit``/``ref_receipt`` instead of a same-
-    simulation cluster).  Fault scenarios are per-home deep copies, so their
-    counters depend only on this partition's own history.
+    **Home role** — 2PC coordination of every transaction homed here, by a
+    :class:`~repro.txn.driver.TwoPhaseCommitDriver` with this object as its
+    port: each parent<->shard relay of the legacy engine becomes a routed
+    :class:`Command` (and the reference committee is reached through
+    ``ref_submit``/``ref_receipt`` instead of a same-simulation cluster).
+    Fault scenarios are per-home deep copies, so their counters depend only
+    on this partition's own history.
 
     **Participant role** — this shard's half of other homes' transactions:
     local lock admission (the legacy ``_LockAdmission`` mirror, un-namespaced
@@ -453,20 +437,24 @@ class HomeCoordinator:
         self.config: ShardedSystemConfig = partition.config
         self.sim = partition.sim
         self.shard_id: int = partition.shard_id
-        self.coordinator = TwoPhaseCommitCoordinator(
-            self.config.use_reference_committee,
-            retain_records=self.config.retain_tx_records,
-            prepare_timeout=self.config.prepare_timeout)
-        self.splitter = splitter_for(self.config.benchmark)
         #: Per-home fault copy: hook counters (drop budgets, crash counts)
         #: advance with this partition's own transaction history only.
-        self.fault = copy.deepcopy(self.config.fault_scenario)
-        if self.fault is not None:
-            self.fault.bind(partition)
-        #: tx_id -> local completion callback, or the origin partition id
-        #: (PARENT for parent-submitted transactions).
-        self._completion: Dict[str, Any] = {}
-        self._decisions_sent: Dict[str, Set[int]] = {}
+        fault = copy.deepcopy(self.config.fault_scenario)
+        if fault is not None:
+            fault.bind(partition)
+        #: The home role.  Fault hooks run in sorted shard order; under an
+        #: armed adversary decisions get a re-drive deadline.
+        self.driver = TwoPhaseCommitDriver(
+            as_runtime(self.sim),
+            TwoPhaseCommitCoordinator(
+                self.config.use_reference_committee,
+                retain_records=self.config.retain_tx_records,
+                prepare_timeout=self.config.prepare_timeout),
+            splitter_for(self.config.benchmark), self.shard_of, self,
+            fault=fault, sort_shards=True,
+            decision_timeout=(self.config.prepare_timeout
+                              if partition.adversary is not None else None))
+        self.coordinator = self.driver.coordinator
         self._ref_watchers: Dict[str, Callable] = {}
         # Participant-side admission mirror (queueing policies only).
         self.manager: Optional[LockManager] = (
@@ -485,152 +473,63 @@ class HomeCoordinator:
     def shard_of(self, key: str) -> int:
         return shard_of_key(key, self.config.num_shards)
 
-    def shards_for_transaction(self, tx: Transaction) -> List[int]:
-        try:
-            return self.splitter.shards_touched(tx, self.shard_of)
-        except Exception:
-            shards = {self.shard_of(key) for key in tx.keys}
-            return sorted(shards) if shards else [0]
-
     def _route(self, **kwargs: Any) -> None:
         self.partition.route(Command(**kwargs))
-
-    def _submit_cluster_later(self, tx: Transaction, attempt: int = 0) -> None:
-        """Submit to this partition's own cluster after the uniform relay delay.
-
-        Even self-targeted hops pay ``relay_delay`` so message latency never
-        depends on whether a participant happens to be its own home.
-        """
-        self.sim.schedule(self.config.relay_delay,
-                          lambda: self.partition.cluster.submit([tx], attempt=attempt))
 
     # ------------------------------------------------------------ home: submit
     def submit_transaction(self, tx: Transaction,
                            on_complete: Optional[Callable[[DistributedTxRecord], None]] = None,
                            origin: Optional[int] = None) -> DistributedTxRecord:
         """Coordinate a benchmark transaction homed at this partition."""
-        shards = self.shards_for_transaction(tx)
+        shards = self.driver.shards_of(tx)
         if home_shard(shards) != self.shard_id:  # pragma: no cover - protocol bug guard
             raise SimulationError(
                 f"transaction {tx.tx_id!r} homed at {home_shard(shards)} "
                 f"submitted to partition {self.shard_id}")
-        record = self.coordinator.begin(tx, shards, now=self.sim.now)
-        if on_complete is not None:
-            self._completion[tx.tx_id] = on_complete
-        elif origin is not None:
-            self._completion[tx.tx_id] = origin
-        if not record.is_cross_shard:
-            self._submit_single_shard(record)
-            return record
-        if (self.fault is not None and not self.coordinator.crashed
-                and self.fault.crash_coordinator(record, "prepare")):
-            self._crash_coordinator()
-        if self.config.use_reference_committee:
-            self._submit_begin_tx(record)
-        else:
-            self.coordinator.mark_begin_executed(tx.tx_id, now=self.sim.now)
-            self._send_prepares(record)
-        return record
+        return self.driver.submit(tx, shards,
+                                  on_complete if on_complete is not None else origin)
 
     def handle_client(self, command: Command) -> None:
         """A transaction homed here arrived from its owner (or the parent)."""
         self.submit_transaction(command.txs[0], origin=command.origin)
 
-    # ----------------------------------------------------- home: single shard
-    def _submit_single_shard(self, record: DistributedTxRecord) -> None:
-        tx = record.transaction
-        self.coordinator.mark_begin_executed(tx.tx_id, now=self.sim.now)
+    # ------------------------------------------------ home: 2PC driver port
+    def send_to_shards(self, record: DistributedTxRecord, op: str,
+                       items: List[Tuple[int, Transaction, float]]) -> None:
+        """Route prepares/decisions as commands; run single-shard txs locally.
 
-        def on_receipt(receipt: Any) -> None:
-            ok = receipt.status is TxStatus.COMMITTED
-            self.coordinator.record_prepare_vote(tx.tx_id, self.shard_id, ok,
-                                                 now=self.sim.now,
-                                                 reason=receipt.error)
-            self.coordinator.record_commit_ack(tx.tx_id, self.shard_id,
-                                               now=self.sim.now)
-            if record.phase is DistributedTxPhase.DONE:
-                self._finish(record)
+        Every hop pays ``relay_delay``, even to this partition's own cluster,
+        so latency never depends on whether a participant is its own home.
+        """
+        for shard_id, tx, extra_delay in items:
+            if op == "single":
+                self.partition.watch(tx.tx_id,
+                                     self.driver.receipt_watcher(record, op, shard_id))
+            if op in ("single", "retry"):
+                self.sim.schedule(self.config.relay_delay,
+                                  lambda tx=tx, attempt=record.redrives:
+                                  self.partition.cluster.submit([tx], attempt=attempt))
+                continue
+            prepare = op == "prepare"
+            self._route(due=self.sim.now + self.config.relay_delay + extra_delay,
+                        dest=shard_id, op="prepare2pc" if prepare else "decision",
+                        txs=(tx,), tx_id=record.tx_id, home=self.shard_id,
+                        attempt=record.redrives,
+                        priority=((record.started_at, record.begin_seq, self.shard_id)
+                                  if prepare else ()))
 
-        self.partition.watch(tx.tx_id, on_receipt)
-        self._submit_cluster_later(tx)
-        if self.config.prepare_timeout is not None:
-            self.sim.schedule(self.config.prepare_timeout,
-                              self._check_single_shard_deadline, tx.tx_id)
-
-    def _check_single_shard_deadline(self, tx_id: str) -> None:
-        """Re-submit a single-shard transaction whose receipt never came."""
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.outcome is not DistributedTxOutcome.PENDING
-                or record.phase is DistributedTxPhase.DONE or record.prepare_votes):
-            return
-        if record.prepare_deadline is None or record.prepare_deadline > self.sim.now:
-            delay = (record.prepare_deadline - self.sim.now
-                     if record.prepare_deadline is not None
-                     else self.config.prepare_timeout)
-            self.sim.schedule(max(delay, 1e-9),
-                              self._check_single_shard_deadline, tx_id)
-            return
-        self.coordinator.mark_redriven(record)
-        record.prepare_deadline = self.sim.now + self.config.prepare_timeout
-        self._submit_cluster_later(record.transaction, attempt=record.redrives)
-        self.sim.schedule(self.config.prepare_timeout,
-                          self._check_single_shard_deadline, tx_id)
-
-    # ------------------------------------------------------ home: cross shard
-    def _route_ref(self, ref_tx: Transaction, attempt: int) -> None:
+    def send_to_reference(self, record: DistributedTxRecord, tx: Transaction,
+                          on_receipt: Callable[[Any], None]) -> None:
+        self._ref_watchers[tx.tx_id] = on_receipt
         self._route(due=self.sim.now + self.config.relay_delay,
-                    dest=REFERENCE_SHARD_ID, op="ref_submit", txs=(ref_tx,),
-                    reply_to=self.shard_id, attempt=attempt)
+                    dest=REFERENCE_SHARD_ID, op="ref_submit", txs=(tx,),
+                    reply_to=self.shard_id, attempt=record.redrives)
 
     def handle_ref_receipt(self, command: Command) -> None:
         watcher = self._ref_watchers.pop(command.tx_id, None)
         if watcher is not None:
             watcher(command.receipt)
 
-    def _submit_begin_tx(self, record: DistributedTxRecord) -> None:
-        if self.coordinator.crashed:
-            return  # recovery restarts records still in BEGINNING
-        chaincode = ReferenceCommitteeChaincode()
-        begin = chaincode.new_transaction(
-            "beginTx", {"tx_id": record.tx_id, "num_committees": len(record.shards)},
-            client_id=record.transaction.client_id,
-        )
-
-        def on_receipt(receipt: Any) -> None:
-            self.coordinator.mark_begin_executed(record.tx_id, now=self.sim.now)
-            self._send_prepares(record)
-
-        self._ref_watchers[begin.tx_id] = on_receipt
-        self._route_ref(begin, attempt=record.redrives)
-
-    def _send_prepares(self, record: DistributedTxRecord,
-                       only_shards: Optional[List[int]] = None) -> None:
-        """Route the per-shard PrepareTx cohort (fault-aware; admission is
-        participant-side, so prepares always leave the home immediately)."""
-        if self.coordinator.crashed:
-            return  # recovery re-drives undecided transactions
-        prepares = self.splitter.prepare_transactions(record.transaction,
-                                                      self.shard_of)
-        if only_shards is not None:
-            prepares = {shard: tx for shard, tx in prepares.items()
-                        if shard in only_shards}
-        for shard_id in sorted(prepares):
-            extra_delay = 0.0
-            if self.fault is not None:
-                if self.fault.drop_prepare(record, shard_id):
-                    continue  # the prepare-deadline re-drive recovers this
-                extra_delay = self.fault.prepare_delay(record, shard_id)
-            self._route(due=self.sim.now + self.config.relay_delay + extra_delay,
-                        dest=shard_id, op="prepare2pc", txs=(prepares[shard_id],),
-                        tx_id=record.tx_id, home=self.shard_id,
-                        attempt=record.redrives,
-                        priority=(record.started_at, record.begin_seq,
-                                  self.shard_id))
-        if self.config.prepare_timeout is not None:
-            self.sim.schedule(self.config.prepare_timeout,
-                              self._check_prepare_deadline, record.tx_id)
-
-    # ------------------------------------------------------------- home: votes
     def handle_vote(self, command: Command) -> None:
         """A participant's prepare vote arrived (step 1b)."""
         tx_id, shard_id, ok = command.tx_id, command.origin, command.ok
@@ -645,208 +544,22 @@ class HomeCoordinator:
                                                      now=self.sim.now,
                                                      reason=command.reason)
             return
-        if self.fault is not None and self.fault.drop_vote(record, shard_id, ok):
-            return  # vote lost; the prepare-deadline re-drive recovers
-        self._handle_prepare_outcome(record, shard_id, ok, command.reason)
-
-    def _handle_prepare_outcome(self, record: DistributedTxRecord, shard_id: int,
-                                ok: bool, reason: Optional[str]) -> None:
-        if self.config.use_reference_committee:
-            self._submit_vote(record, shard_id, ok, reason)
-        else:
-            before = record.outcome
-            self._record_vote(record, shard_id, ok, reason)
-            if (record.outcome is not DistributedTxOutcome.PENDING
-                    and before is DistributedTxOutcome.PENDING):
-                self._send_decision(record)
-
-    def _record_vote(self, record: DistributedTxRecord, shard_id: int, ok: bool,
-                     reason: Optional[str]) -> None:
-        self.coordinator.record_prepare_vote(record.tx_id, shard_id, ok,
-                                             now=self.sim.now, reason=reason)
-        if self.fault is not None:
-            duplicates = self.fault.duplicate_votes(record, shard_id, ok)
-            for index in range(duplicates):
-                self.sim.schedule(
-                    self.fault.stale_delay() * (index + 1),
-                    self._replay_vote, record.tx_id, shard_id, ok, reason)
-
-    def _replay_vote(self, tx_id: str, shard_id: int, ok: bool,
-                     reason: Optional[str]) -> None:
-        """A stale duplicate vote arrives (idempotent-or-rejected)."""
-        if self.coordinator.retain_records and tx_id not in self.coordinator.records:
-            return
-        self.coordinator.record_prepare_vote(tx_id, shard_id, ok,
-                                             now=self.sim.now, reason=reason)
-
-    def _submit_vote(self, record: DistributedTxRecord, shard_id: int, ok: bool,
-                     reason: Optional[str]) -> None:
-        chaincode = ReferenceCommitteeChaincode()
-        vote = chaincode.new_transaction(
-            "prepareOK" if ok else "prepareNotOK",
-            {"tx_id": record.tx_id, "shard_id": shard_id},
-            client_id=record.transaction.client_id,
-        )
-
-        def on_receipt(receipt: Any) -> None:
-            before = record.outcome
-            self._record_vote(record, shard_id, ok, reason)
-            decided_state = None
-            if receipt.result and isinstance(receipt.result, dict):
-                decided_state = receipt.result.get("state")
-            decided = record.outcome is not DistributedTxOutcome.PENDING
-            if decided and before is DistributedTxOutcome.PENDING:
-                # Sanity: the replicated state machine must agree with the
-                # local bookkeeping (both implement Figure 6).
-                if decided_state == CoordinatorState.ABORTED.value:
-                    assert record.outcome is DistributedTxOutcome.ABORTED
-                self._send_decision(record)
-
-        self._ref_watchers[vote.tx_id] = on_receipt
-        self._route_ref(vote, attempt=record.redrives)
-
-    # --------------------------------------------------------- home: decision
-    def _send_decision(self, record: DistributedTxRecord,
-                       only_shards: Optional[List[int]] = None) -> None:
-        if self.coordinator.crashed:
-            return  # recovery re-drives decided-but-unsent decisions
-        if (self.fault is not None
-                and self.fault.crash_coordinator(record, "decide")):
-            self._crash_coordinator()
-            return  # decided but unsent: re-driven at recovery
-        committed = record.outcome is DistributedTxOutcome.COMMITTED
-        if committed:
-            per_shard = self.splitter.commit_transactions(record.transaction,
-                                                          self.shard_of)
-        else:
-            per_shard = self.splitter.abort_transactions(record.transaction,
-                                                         self.shard_of)
-        if only_shards is not None:
-            per_shard = {shard: tx for shard, tx in per_shard.items()
-                         if shard in only_shards}
-        sent = self._decisions_sent.setdefault(record.tx_id, set())
-        for shard_id in sorted(per_shard):
-            sent.add(shard_id)
-            extra_delay = (self.fault.decision_delay(record, shard_id)
-                           if self.fault is not None else 0.0)
-            self._route(due=self.sim.now + self.config.relay_delay + extra_delay,
-                        dest=shard_id, op="decision", txs=(per_shard[shard_id],),
-                        tx_id=record.tx_id, home=self.shard_id,
-                        attempt=record.redrives)
-        if self.partition.adversary is not None and self.config.prepare_timeout is not None:
-            # Under an armed adversary a decision's first-contact member may
-            # swallow it; the deadline re-drives it through a rotated member.
-            self.sim.schedule(self.config.prepare_timeout,
-                              self._check_decision_deadline, record.tx_id)
+        self.driver.on_vote(record, shard_id, ok, command.reason)
 
     def handle_ack(self, command: Command) -> None:
         """A participant executed its CommitTx/AbortTx and acked (step 2)."""
         tx_id, shard_id = command.tx_id, command.origin
         record = self.coordinator.records.get(tx_id)
-        self.coordinator.record_commit_ack(tx_id, shard_id, now=self.sim.now)
         if record is None:
-            return  # pruned (stale ack) — counted by the coordinator
-        if self.fault is not None:
-            duplicates = self.fault.duplicate_acks(record, shard_id)
-            for index in range(duplicates):
-                self.sim.schedule(self.fault.stale_delay() * (index + 1),
-                                  self._replay_ack, tx_id, shard_id)
-        if record.all_acks_in:
-            self._finish(record)
-
-    def _replay_ack(self, tx_id: str, shard_id: int) -> None:
-        """A stale duplicate commit ack arrives (a counted no-op)."""
-        if self.coordinator.retain_records and tx_id not in self.coordinator.records:
+            # Pruned (stale ack) — counted by the coordinator.
+            self.coordinator.record_commit_ack(tx_id, shard_id, now=self.sim.now)
             return
-        self.coordinator.record_commit_ack(tx_id, shard_id, now=self.sim.now)
+        self.driver.on_ack(record, shard_id)
 
-    # ------------------------------------------- home: re-drives and recovery
-    def _check_decision_deadline(self, tx_id: str) -> None:
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.phase is DistributedTxPhase.DONE
-                or record.outcome is DistributedTxOutcome.PENDING):
-            return
-        if self.coordinator.crashed:
-            self.sim.schedule(self.config.prepare_timeout,
-                              self._check_decision_deadline, tx_id)
-            return
-        missing = [shard for shard in record.shards
-                   if shard not in record.commit_acks]
-        if missing:
-            self.coordinator.mark_redriven(record)
-            self._send_decision(record, only_shards=missing)
-
-    def _check_prepare_deadline(self, tx_id: str) -> None:
-        """The prepare deadline passed: re-drive the shards with missing votes.
-
-        Unlike the legacy engine, the home cannot see which participants are
-        merely parked in their local admission queues, so it re-drives every
-        missing-vote shard; participants ignore re-driven prepares for
-        transactions they are still waiting or already admitted on, which
-        makes the re-drive a no-op exactly where the legacy skip applied.
-        """
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.outcome is not DistributedTxOutcome.PENDING
-                or record.phase is DistributedTxPhase.DONE):
-            return
-        if self.coordinator.crashed:
-            self.sim.schedule(self.config.prepare_timeout,
-                              self._check_prepare_deadline, tx_id)
-            return
-        if record.prepare_deadline is None or record.prepare_deadline > self.sim.now:
-            delay = (record.prepare_deadline - self.sim.now
-                     if record.prepare_deadline is not None
-                     else self.config.prepare_timeout)
-            self.sim.schedule(max(delay, 1e-9), self._check_prepare_deadline, tx_id)
-            return
-        missing = [shard for shard in record.shards
-                   if shard not in record.prepare_votes]
-        if missing:
-            self.coordinator.mark_redriven(record)
-            record.prepare_deadline = self.sim.now + self.config.prepare_timeout
-            self._send_prepares(record, only_shards=missing)
-        else:
-            record.prepare_deadline = self.sim.now + self.config.prepare_timeout
-            self.sim.schedule(self.config.prepare_timeout,
-                              self._check_prepare_deadline, tx_id)
-
-    def _crash_coordinator(self) -> None:
-        if self.coordinator.crashed:
-            return  # one recovery is already scheduled
-        self.coordinator.crash()
-        delay = self.fault.recovery_delay() if self.fault is not None else 1.0
-        self.sim.schedule(delay, self._recover_coordinator)
-
-    def _recover_coordinator(self) -> None:
-        """Replay buffered votes/acks, then re-drive unfinished transactions."""
-        if not self.coordinator.crashed:
-            return
-        report = self.coordinator.recover(now=self.sim.now)
-        for record in report.completed:
-            self._finish(record)
-        for record in report.restart:
-            self.coordinator.mark_redriven(record)
-            if (record.phase is DistributedTxPhase.BEGINNING
-                    and self.config.use_reference_committee):
-                self._submit_begin_tx(record)
-                continue
-            missing = [shard for shard in record.shards
-                       if shard not in record.prepare_votes]
-            self._send_prepares(record, only_shards=missing or list(record.shards))
-        for record in report.redrive:
-            sent = self._decisions_sent.get(record.tx_id, set())
-            unsent = [shard for shard in record.shards
-                      if shard not in record.commit_acks and shard not in sent]
-            if unsent:
-                self.coordinator.mark_redriven(record)
-                self._send_decision(record, only_shards=unsent)
-
-    # ------------------------------------------------------- home: completion
-    def _finish(self, record: DistributedTxRecord) -> None:
-        self._decisions_sent.pop(record.tx_id, None)
-        target = self._completion.pop(record.tx_id, None)
+    def report_finished(self, record: DistributedTxRecord, target: Any) -> None:
+        """Hand a finished record to its local callback, the parent or its origin."""
         if target is None:
-            return  # already reported, or fire-and-forget
+            return  # fire-and-forget
         if callable(target):
             target(record)
         elif target == PARENT:
@@ -986,8 +699,3 @@ class HomeCoordinator:
 
         self.partition.watch(decision_tx.tx_id, on_receipt)
         self.partition.cluster.submit([decision_tx], attempt=command.attempt)
-
-    # ------------------------------------------------------------------- stats
-    @property
-    def stats(self):
-        return self.coordinator.stats

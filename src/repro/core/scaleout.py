@@ -126,8 +126,7 @@ from repro.txn.coordinator import (
     DistributedTxRecord,
 )
 from repro.txn.reference_committee import ReferenceCommitteeChaincode
-from repro.workloads.kvstore import KVStoreWorkload
-from repro.workloads.smallbank import SmallbankWorkload
+from repro.workloads.generator import benchmark_registry, populate_shard_state
 
 
 def build_system(config: ShardedSystemConfig) -> ShardedBlockchain:
@@ -211,7 +210,8 @@ class ShardPartition:
             self.home: Optional[HomeCoordinator] = None
             self._reply_to: Dict[str, int] = {}
         else:
-            self._populate()
+            populate_shard_state(self.cluster, shard_id, config.num_shards,
+                                 config.benchmark, config.num_keys)
             self.home = HomeCoordinator(self)
             self.drivers: Dict[int, PartitionDriver] = {}
             self._remote_inflight: Dict[str, PartitionDriver] = {}
@@ -221,33 +221,11 @@ class ShardPartition:
 
     # ------------------------------------------------------------ construction
     def _registry_factory(self) -> ChaincodeRegistry:
+        if not self.is_reference:
+            return benchmark_registry(self.config.benchmark, self.config.num_keys)
         registry = ChaincodeRegistry()
-        if self.is_reference:
-            registry.register(ReferenceCommitteeChaincode())
-        elif self.config.benchmark == "smallbank":
-            registry.register(
-                SmallbankWorkload(num_accounts=self.config.num_keys).chaincode)
-        else:
-            registry.register(
-                KVStoreWorkload(num_keys=self.config.num_keys).chaincode)
+        registry.register(ReferenceCommitteeChaincode())
         return registry
-
-    def _populate(self) -> None:
-        """Load this shard's slice of the initial key space."""
-        from repro.workloads.generator import shard_of_key
-        from repro.workloads.smallbank import initial_balances
-
-        if self.config.benchmark == "smallbank":
-            items = list(initial_balances(self.config.num_keys).items())
-        else:
-            workload = KVStoreWorkload(num_keys=self.config.num_keys)
-            items = [(workload.key_name(i), "0" * 8)
-                     for i in range(min(self.config.num_keys, 5000))]
-        for key, value in items:
-            if shard_of_key(key, self.config.num_shards) != self.shard_id:
-                continue
-            for replica in self.cluster.replicas:
-                replica.state.put(key, value)
 
     def add_driver(self, index: int, spec: Dict[str, Any]) -> None:
         """Attach (and start) this partition's split of driver ``index``."""
@@ -280,7 +258,7 @@ class ShardPartition:
 
     def submit_from_driver(self, tx: Transaction, driver: PartitionDriver) -> None:
         """Route a locally generated arrival to its home partition."""
-        shards = self.home.shards_for_transaction(tx)
+        shards = self.home.driver.shards_of(tx)
         home = home_shard(shards)
         if home == self.shard_id:
             self.home.submit_transaction(tx, on_complete=driver.on_local_complete)
@@ -935,12 +913,6 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
                 raise SimulationError(f"unknown partition output {item!r}")
 
     # ------------------------------------------------------------ relays
-    def _relay_shard_single(self, shard_id: int, tx: Transaction,
-                            attempt: int = 0) -> None:  # pragma: no cover
-        raise SimulationError(
-            "parent-side shard relay on the scale-out engine: coordination "
-            "traffic must originate in the home partitions")
-
     def _relay_cohort(self, group: List[Tuple[int, Transaction]],
                       extra_delay: float = 0.0,
                       attempt: int = 0) -> None:  # pragma: no cover
@@ -959,20 +931,7 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
         merged = CoordinatorStats()
         per_partition = self.executor.coordination_stats()
         for shard_id in sorted(per_partition):
-            stats = per_partition[shard_id]
-            merged.started += stats.started
-            merged.committed += stats.committed
-            merged.aborted += stats.aborted
-            merged.cross_shard += stats.cross_shard
-            merged.latency_sum += stats.latency_sum
-            merged.latency_count += stats.latency_count
-            merged.latencies.extend(stats.latencies)
-            merged.duplicate_votes += stats.duplicate_votes
-            merged.duplicate_acks += stats.duplicate_acks
-            merged.equivocations += stats.equivocations
-            merged.stale_messages += stats.stale_messages
-            merged.coordinator_crashes += stats.coordinator_crashes
-            merged.redriven_transactions += stats.redriven_transactions
+            merged.merge(per_partition[shard_id])
         return merged
 
     def result(self, duration: float) -> ShardedRunResult:

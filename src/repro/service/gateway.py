@@ -2,17 +2,16 @@
 
 Two halves:
 
-* :class:`GatewayService` — the coordination plane.  It drives the *same*
-  :class:`~repro.txn.coordinator.TwoPhaseCommitCoordinator` and
-  :class:`~repro.core.splitters.TransactionSplitter` machinery that
-  ``ShardedBlockchain`` drives in sim mode (the trusted
-  ``use_reference_committee=False`` configuration of Figure 13): begin →
-  per-shard prepares → votes → commit/abort decisions → acks.  The only
-  difference is the transport — receipts arrive as ``svc-receipts`` frames
-  from shard processes instead of ``CommitEvent`` callbacks — and the
-  clock, which is the :class:`~repro.runtime.wallclock.AsyncioRuntime`.
-  The coordinator itself never notices: deadlines are data and ``now`` is a
-  parameter (see the runtime-neutrality note in ``txn/coordinator.py``).
+* :class:`GatewayService` — the coordination plane.  It is a thin adapter
+  around the *same* :class:`~repro.txn.driver.TwoPhaseCommitDriver` that
+  ``ShardedBlockchain`` runs in sim mode, in the trusted
+  ``use_reference_committee=False`` configuration of Figure 13: begin →
+  per-shard prepares → votes → commit/abort decisions → acks.  What differs
+  is the transport — receipts arrive as ``svc-receipts`` frames from shard
+  processes instead of ``CommitEvent`` callbacks — the clock, which is the
+  :class:`~repro.runtime.wallclock.AsyncioRuntime`, and the live-service
+  policy: down shards get forced votes and acks, and re-drives stop after
+  ``MAX_REDRIVES``.
 
 * :class:`GatewayHttp` — a deliberately small HTTP/1.1 front end (stdlib
   only; the container has no aiohttp) exposing::
@@ -34,10 +33,12 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+import math
+import re
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.splitters import splitter_for
-from repro.ledger.transaction import Transaction, TransactionReceipt, TxStatus
+from repro.ledger.transaction import Transaction, TransactionReceipt
 from repro.runtime.wallclock import AsyncioRuntime
 from repro.service.shardnode import (
     GATEWAY_NODE_ID, KIND_BALANCE_QUERY, KIND_BALANCE_REPLY, KIND_PING,
@@ -49,6 +50,7 @@ from repro.txn.coordinator import (
     DistributedTxOutcome, DistributedTxPhase, DistributedTxRecord,
     TwoPhaseCommitCoordinator,
 )
+from repro.txn.driver import TwoPhaseCommitDriver
 from repro.workloads.generator import shard_of_key
 from repro.workloads.kvstore import KVStoreWorkload
 from repro.workloads.smallbank import SmallbankWorkload
@@ -56,6 +58,10 @@ from repro.workloads.smallbank import SmallbankWorkload
 #: How many times a lost prepare or decision is re-driven before the
 #: gateway gives up (aborts the prepare, force-acks the decision).
 MAX_REDRIVES = 3
+
+#: Largest request body the HTTP front end reads; a larger Content-Length is
+#: answered 413 without reading the body.
+MAX_BODY_BYTES = 1 << 20
 
 
 class GatewayError(Exception):
@@ -90,6 +96,24 @@ class BadTransaction(GatewayError):
     status = 400
 
 
+class BadRequest(GatewayError):
+    """The HTTP request itself is malformed."""
+
+    status = 400
+
+
+class PayloadTooLarge(GatewayError):
+    """The request body exceeds ``MAX_BODY_BYTES``."""
+
+    status = 413
+
+
+class HeaderTooLarge(GatewayError):
+    """A header line overruns the stream's line limit (64 KiB)."""
+
+    status = 431
+
+
 class _GatewayAgent:
     """The gateway's node in the SocketNetwork (receives shard frames)."""
 
@@ -122,10 +146,19 @@ class GatewayService:
         self.prepare_timeout = prepare_timeout
         self.network = SocketNetwork(runtime, listen_host=listen_host)
         self.network.on_peer_down = self._on_peer_down
-        self.coordinator = TwoPhaseCommitCoordinator(
-            use_reference_committee=False, retain_records=True,
-            prepare_timeout=prepare_timeout)
-        self.splitter = splitter_for(benchmark)
+        self._down: Dict[int, str] = {}
+        #: The trusted-coordinator 2PC driver, with this service as its
+        #: port: no faults, no reference committee; down shards get forced
+        #: votes and acks, and re-drives stop after MAX_REDRIVES.
+        self.driver = TwoPhaseCommitDriver(
+            runtime,
+            TwoPhaseCommitCoordinator(use_reference_committee=False,
+                                      retain_records=True,
+                                      prepare_timeout=prepare_timeout),
+            splitter_for(benchmark), self.shard_of, self,
+            decision_timeout=prepare_timeout, max_redrives=MAX_REDRIVES,
+            down=self._down)
+        self.coordinator = self.driver.coordinator
         if benchmark == "smallbank":
             self.chaincode = SmallbankWorkload(num_accounts=num_keys).chaincode
         else:
@@ -137,13 +170,10 @@ class GatewayService:
         #: fire-and-forget submissions; the key set is the in-flight window).
         self._inflight: Dict[str, Optional[asyncio.Future]] = {}
         #: receipt watchers, keyed by the *wire* transaction's id (prepare /
-        #: decision / single-shard tx), plus the parent tx owning each watch
-        #: so a finished record's stale watchers can be reclaimed.
+        #: decision / single-shard tx), plus each record's wire ids so a
+        #: finished record's stale watchers can be reclaimed.
         self._watchers: Dict[str, Callable[[TransactionReceipt], None]] = {}
-        self._watch_owner: Dict[str, str] = {}
-        self._record_watches: Dict[str, Set[str]] = {}
-        self._decisions_sent: Dict[str, Set[int]] = {}
-        self._down: Dict[int, str] = {}
+        self._record_watches: Dict[str, List[str]] = {}
         self._pongs: Dict[int, Dict[str, Any]] = {}
         self._balance_waiters: Dict[int, asyncio.Future] = {}
         self._query_counter = itertools.count()
@@ -191,7 +221,7 @@ class GatewayService:
     def ping_shards(self) -> None:
         for shard_id in range(self.num_shards):
             if shard_id not in self._down:
-                self._send_frame(shard_id, KIND_PING, {"ping_id": shard_id})
+                self.send_frame(shard_id, KIND_PING, {"ping_id": shard_id})
 
     def _on_pong(self, payload: Dict[str, Any]) -> None:
         self._pongs[payload["shard_id"]] = payload
@@ -233,13 +263,6 @@ class GatewayService:
         except Exception as exc:
             raise BadTransaction(f"invalid invocation: {exc}") from exc
 
-    def shards_for(self, tx: Transaction) -> List[int]:
-        try:
-            return self.splitter.shards_touched(tx, self.shard_of)
-        except Exception:
-            shards = {self.shard_of(key) for key in tx.keys}
-            return sorted(shards) if shards else [0]
-
     def submit_transaction(self, tx: Transaction,
                            wait: bool = False) -> Tuple[DistributedTxRecord,
                                                         Optional[asyncio.Future]]:
@@ -248,210 +271,52 @@ class GatewayService:
             raise Draining("gateway is draining")
         if len(self._inflight) >= self.max_inflight:
             raise Overloaded(f"{len(self._inflight)} transactions in flight")
-        shards = self.shards_for(tx)
+        shards = self.driver.shards_of(tx)
         dead = [shard for shard in shards if shard in self._down]
         if dead:
             raise ShardDown(f"shard {dead[0]} is down: {self._down[dead[0]]}")
-        record = self.coordinator.begin(tx, shards, now=self.runtime.now)
         future = self.runtime.loop.create_future() if wait else None
         self._inflight[tx.tx_id] = future
-        if record.is_cross_shard:
-            self.coordinator.mark_begin_executed(tx.tx_id, now=self.runtime.now)
-            self._send_prepares(record)
-        else:
-            self._submit_single_shard(record)
-        return record, future
+        return self.driver.submit(tx, shards), future
 
-    # ------------------------------------------------------- single shard tx
-    def _submit_single_shard(self, record: DistributedTxRecord) -> None:
-        shard_id = record.shards[0]
-        tx = record.transaction
-        self.coordinator.mark_begin_executed(tx.tx_id, now=self.runtime.now)
+    # ------------------------------------------------------ 2PC driver port
+    def send_to_shards(self, record: DistributedTxRecord, op: str,
+                       items: List[Tuple[int, Transaction, float]]) -> None:
+        """Frame each transaction straight to its shard (the link is the relay)."""
+        for shard_id, tx, _extra_delay in items:
+            if op != "retry":
+                self._watch(record, tx.tx_id,
+                            self.driver.receipt_watcher(record, op, shard_id))
+            self._send_transactions(shard_id, [tx])
 
-        def on_receipt(receipt: TransactionReceipt) -> None:
-            ok = receipt.status is TxStatus.COMMITTED
-            self.coordinator.record_prepare_vote(
-                tx.tx_id, shard_id, ok, now=self.runtime.now, reason=receipt.error)
-            self.coordinator.record_commit_ack(tx.tx_id, shard_id, now=self.runtime.now)
-            if record.phase is DistributedTxPhase.DONE:
-                self._finish(record)
-
-        self._watch(record, tx.tx_id, on_receipt)
-        self._send_transactions(shard_id, [tx])
-        self.runtime.schedule(self.prepare_timeout,
-                              self._check_single_deadline, tx.tx_id)
-
-    def _check_single_deadline(self, tx_id: str) -> None:
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.outcome is not DistributedTxOutcome.PENDING
-                or record.phase is DistributedTxPhase.DONE or record.prepare_votes):
-            return
-        shard_id = record.shards[0]
-        if shard_id in self._down:
-            return  # _on_peer_down already aborted it
-        if record.redrives >= MAX_REDRIVES:
-            self.coordinator.record_prepare_vote(
-                tx_id, shard_id, False, now=self.runtime.now,
-                reason="prepare timeout")
-            self.coordinator.record_commit_ack(tx_id, shard_id, now=self.runtime.now)
-            if record.phase is DistributedTxPhase.DONE:
-                self._finish(record)
-            return
-        self.coordinator.mark_redriven(record)
-        record.prepare_deadline = self.runtime.now + self.prepare_timeout
-        self._send_transactions(shard_id, [record.transaction])
-        self.runtime.schedule(self.prepare_timeout, self._check_single_deadline, tx_id)
-
-    # -------------------------------------------------------- cross shard tx
-    def _send_prepares(self, record: DistributedTxRecord,
-                       only_shards: Optional[List[int]] = None) -> None:
-        prepares = self.splitter.prepare_transactions(record.transaction, self.shard_of)
-        if only_shards is not None:
-            prepares = {shard: tx for shard, tx in prepares.items()
-                        if shard in only_shards}
-        for prep_shard, prepare_tx in prepares.items():
-            self._watch(record, prepare_tx.tx_id,
-                        self._make_prepare_watcher(record, prep_shard))
-            self._send_transactions(prep_shard, [prepare_tx])
-        self.runtime.schedule(self.prepare_timeout,
-                              self._check_prepare_deadline, record.tx_id)
-
-    def _make_prepare_watcher(self, record: DistributedTxRecord, shard_id: int):
-        def on_receipt(receipt: TransactionReceipt) -> None:
-            ok = receipt.status is TxStatus.COMMITTED
-            self._handle_prepare_outcome(record, shard_id, ok, receipt.error)
-        return on_receipt
-
-    def _handle_prepare_outcome(self, record: DistributedTxRecord, shard_id: int,
-                                ok: bool, reason: Optional[str]) -> None:
-        before = record.outcome
-        self.coordinator.record_prepare_vote(
-            record.tx_id, shard_id, ok, now=self.runtime.now, reason=reason)
-        if (record.outcome is not DistributedTxOutcome.PENDING
-                and before is DistributedTxOutcome.PENDING):
-            self._send_decision(record)
-
-    def _check_prepare_deadline(self, tx_id: str) -> None:
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.outcome is not DistributedTxOutcome.PENDING
-                or record.phase is DistributedTxPhase.DONE):
-            return
-        if record.prepare_deadline is None or record.prepare_deadline > self.runtime.now:
-            delay = (record.prepare_deadline - self.runtime.now
-                     if record.prepare_deadline is not None else self.prepare_timeout)
-            self.runtime.schedule(max(delay, 1e-3),
-                                  self._check_prepare_deadline, tx_id)
-            return
-        missing = [shard for shard in record.shards
-                   if shard not in record.prepare_votes and shard not in self._down]
-        if not missing:
-            return  # peer-down handling owns the down shards' votes
-        if record.redrives >= MAX_REDRIVES:
-            before = record.outcome
-            for shard in missing:
-                self.coordinator.record_prepare_vote(
-                    tx_id, shard, False, now=self.runtime.now,
-                    reason="prepare timeout")
-            if (record.outcome is not DistributedTxOutcome.PENDING
-                    and before is DistributedTxOutcome.PENDING):
-                self._send_decision(record)
-            return
-        self.coordinator.mark_redriven(record)
-        record.prepare_deadline = self.runtime.now + self.prepare_timeout
-        self._send_prepares(record, only_shards=missing)
-
-    def _send_decision(self, record: DistributedTxRecord,
-                       only_shards: Optional[List[int]] = None) -> None:
-        committed = record.outcome is DistributedTxOutcome.COMMITTED
-        if committed:
-            per_shard = self.splitter.commit_transactions(record.transaction, self.shard_of)
-        else:
-            per_shard = self.splitter.abort_transactions(record.transaction, self.shard_of)
-        if only_shards is not None:
-            per_shard = {shard: tx for shard, tx in per_shard.items()
-                         if shard in only_shards}
-        sent = self._decisions_sent.setdefault(record.tx_id, set())
-        for dec_shard, decision_tx in per_shard.items():
-            if dec_shard in self._down:
-                # Unreachable: count the ack as forced, exactly what
-                # _on_peer_down does for decisions already in flight.
-                self.coordinator.record_commit_ack(record.tx_id, dec_shard,
-                                                   now=self.runtime.now)
-                continue
-            sent.add(dec_shard)
-            self._watch(record, decision_tx.tx_id,
-                        self._make_decision_watcher(record, dec_shard))
-            self._send_transactions(dec_shard, [decision_tx])
-        if record.all_acks_in and record.phase is DistributedTxPhase.DONE:
-            self._finish(record)
-            return
-        self.runtime.schedule(self.prepare_timeout,
-                              self._check_decision_deadline, record.tx_id)
-
-    def _make_decision_watcher(self, record: DistributedTxRecord, shard_id: int):
-        def on_receipt(receipt: TransactionReceipt) -> None:
-            self.coordinator.record_commit_ack(record.tx_id, shard_id,
-                                               now=self.runtime.now)
-            if record.all_acks_in:
-                self._finish(record)
-        return on_receipt
-
-    def _check_decision_deadline(self, tx_id: str) -> None:
-        record = self.coordinator.records.get(tx_id)
-        if (record is None or record.phase is DistributedTxPhase.DONE
-                or record.outcome is DistributedTxOutcome.PENDING):
-            return
-        missing = [shard for shard in record.shards
-                   if shard not in record.commit_acks]
-        live = [shard for shard in missing if shard not in self._down]
-        if not live or record.redrives >= MAX_REDRIVES:
-            # Decision delivery is idempotent shard-side; past the re-drive
-            # budget (or with only dead shards missing) the acks are forced
-            # so the client's future resolves rather than hangs.
-            for shard in missing:
-                self.coordinator.record_commit_ack(tx_id, shard, now=self.runtime.now)
-            if record.phase is DistributedTxPhase.DONE:
-                self._finish(record)
-            return
-        self.coordinator.mark_redriven(record)
-        self._send_decision(record, only_shards=live)
-
-    # ----------------------------------------------------------- completion
-    def _watch(self, record: DistributedTxRecord, wire_tx_id: str,
-               callback: Callable[[TransactionReceipt], None]) -> None:
-        self._watchers[wire_tx_id] = callback
-        self._watch_owner[wire_tx_id] = record.tx_id
-        self._record_watches.setdefault(record.tx_id, set()).add(wire_tx_id)
-
-    def _on_receipt(self, receipt: TransactionReceipt) -> None:
-        watcher = self._watchers.pop(receipt.tx_id, None)
-        if watcher is None:
-            return
-        parent = self._watch_owner.pop(receipt.tx_id, None)
-        if parent is not None:
-            watches = self._record_watches.get(parent)
-            if watches is not None:
-                watches.discard(receipt.tx_id)
-        watcher(receipt)
-
-    def _finish(self, record: DistributedTxRecord) -> None:
+    def report_finished(self, record: DistributedTxRecord, _target: Any) -> None:
+        """Reclaim the record's stale watchers and resolve its client future."""
         for wire_tx_id in self._record_watches.pop(record.tx_id, ()):
             self._watchers.pop(wire_tx_id, None)
-            self._watch_owner.pop(wire_tx_id, None)
-        self._decisions_sent.pop(record.tx_id, None)
         future = self._inflight.pop(record.tx_id, None)
         if future is not None and not future.done():
             future.set_result(record)
         if self.draining and not self._inflight:
             self._drained.set()
 
+    # ----------------------------------------------------------- completion
+    def _watch(self, record: DistributedTxRecord, wire_tx_id: str,
+               callback: Callable[[TransactionReceipt], None]) -> None:
+        self._watchers[wire_tx_id] = callback
+        self._record_watches.setdefault(record.tx_id, []).append(wire_tx_id)
+
+    def _on_receipt(self, receipt: TransactionReceipt) -> None:
+        watcher = self._watchers.pop(receipt.tx_id, None)
+        if watcher is not None:
+            watcher(receipt)
+
     # ------------------------------------------------------------ transport
     def _send_transactions(self, shard_id: int, transactions: List[Transaction]) -> None:
-        self._send_frame(shard_id, KIND_SUBMIT, tuple(transactions),
-                         size_bytes=512 * len(transactions))
+        self.send_frame(shard_id, KIND_SUBMIT, tuple(transactions),
+                        size_bytes=512 * len(transactions))
 
-    def _send_frame(self, shard_id: int, kind: str, payload: Any,
-                    size_bytes: int = 512) -> None:
+    def send_frame(self, shard_id: int, kind: str, payload: Any,
+                   size_bytes: int = 512) -> None:
         message = Message(sender=GATEWAY_NODE_ID, kind=kind, payload=payload,
                           size_bytes=size_bytes, channel=REQUEST_CHANNEL)
         self.network.send(GATEWAY_NODE_ID, shard_agent_id(shard_id), message)
@@ -468,22 +333,13 @@ class GatewayService:
             if not any(shard in record.shards for shard in shards):
                 continue
             if record.outcome is DistributedTxOutcome.PENDING:
-                before = record.outcome
-                for shard in shards:
-                    if shard in record.shards and shard not in record.prepare_votes:
-                        self.coordinator.record_prepare_vote(
-                            record.tx_id, shard, False, now=self.runtime.now,
-                            reason=f"shard {shard} down")
-                if (record.outcome is not DistributedTxOutcome.PENDING
-                        and before is DistributedTxOutcome.PENDING):
-                    self._send_decision(record)
+                self.driver.force_votes(record, [
+                    (shard, f"shard {shard} down") for shard in shards
+                    if shard in record.shards and shard not in record.prepare_votes])
             else:
-                for shard in shards:
-                    if shard in record.shards and shard not in record.commit_acks:
-                        self.coordinator.record_commit_ack(
-                            record.tx_id, shard, now=self.runtime.now)
-                if record.phase is DistributedTxPhase.DONE:
-                    self._finish(record)
+                self.driver.force_acks(record, [
+                    shard for shard in shards
+                    if shard in record.shards and shard not in record.commit_acks])
 
     # -------------------------------------------------------------- queries
     def status(self, tx_id: str) -> Optional[DistributedTxRecord]:
@@ -497,8 +353,8 @@ class GatewayService:
         future = self.runtime.loop.create_future()
         self._balance_waiters[query_id] = future
         try:
-            self._send_frame(shard, KIND_BALANCE_QUERY,
-                             {"query_id": query_id, "key": key})
+            self.send_frame(shard, KIND_BALANCE_QUERY,
+                            {"query_id": query_id, "key": key})
             return await asyncio.wait_for(future, timeout)
         finally:
             self._balance_waiters.pop(query_id, None)
@@ -510,6 +366,14 @@ class GatewayService:
 
 
 # --------------------------------------------------------------------- HTTP
+async def _read_line(reader: asyncio.StreamReader, too_long: GatewayError) -> bytes:
+    """One line from ``reader``; ``too_long`` is raised if it overruns the limit."""
+    try:
+        return await reader.readline()
+    except ValueError:  # asyncio's LimitOverrunError, re-raised by readline
+        raise too_long from None
+
+
 def record_json(record: DistributedTxRecord) -> Dict[str, Any]:
     return {
         "tx_id": record.tx_id,
@@ -546,35 +410,51 @@ class GatewayHttp:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request = await self._read_request(reader)
-            if request is not None:
-                method, path, query, body = request
-                status, payload, extra = await self._route(method, path, query, body)
-                await self._respond(writer, status, payload, extra)
+            try:
+                request = await self._read_request(reader)
+                if request is None:
+                    return  # the client closed without sending a request
+                status, payload, extra = await self._route(*request)
+            except GatewayError as exc:
+                status, payload = exc.status, {"error": str(exc)}
+                extra = ({"Retry-After": str(exc.retry_after)}
+                         if exc.retry_after is not None else None)
+            except asyncio.TimeoutError:
+                status, payload, extra = (
+                    504, {"error": "timed out waiting for the transaction"}, None)
+            await self._respond(writer, status, payload, extra)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             writer.close()
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+        """Parse one request, or None if the client sent nothing.
+
+        Malformed input raises a :class:`GatewayError` carrying the status
+        to answer with, so no request is ever dropped without a reply.
+        """
+        line = await _read_line(reader, BadRequest("request line too long"))
         if not line:
             return None
         try:
             method, target, _version = line.decode("latin-1").split()
         except ValueError:
-            return None
+            raise BadRequest("malformed request line") from None
         headers: Dict[str, str] = {}
         while True:
-            header = await reader.readline()
+            header = await _read_line(reader, HeaderTooLarge("header line too long"))
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length", 0) or 0)
-        if length:
-            body = await reader.readexactly(length)
+        raw_length = headers.get("content-length") or "0"
+        if not re.fullmatch(r"[0-9]+", raw_length):
+            raise BadRequest(f"invalid Content-Length {raw_length!r}")
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            raise PayloadTooLarge(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
+        body = await reader.readexactly(length) if length else b""
         path, _, query_string = target.partition("?")
         query: Dict[str, str] = {}
         for pair in query_string.split("&"):
@@ -587,7 +467,9 @@ class GatewayHttp:
                        payload: Dict[str, Any],
                        extra_headers: Optional[Dict[str, str]] = None) -> None:
         reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                   404: "Not Found", 429: "Too Many Requests",
+                   404: "Not Found", 413: "Payload Too Large",
+                   429: "Too Many Requests",
+                   431: "Request Header Fields Too Large",
                    500: "Internal Server Error", 503: "Service Unavailable",
                    504: "Gateway Timeout"}
         body = json.dumps(payload).encode()
@@ -603,24 +485,26 @@ class GatewayHttp:
     # -------------------------------------------------------------- routing
     async def _route(self, method: str, path: str, query: Dict[str, str],
                      body: bytes):
-        try:
-            if method == "POST" and path == "/tx":
-                return await self._post_tx(query, body)
-            if method == "GET" and path.startswith("/tx/"):
-                return self._get_tx(path[len("/tx/"):])
-            if method == "GET" and path.startswith("/balance/"):
-                return await self._get_balance(path[len("/balance/"):])
-            if method == "GET" and path == "/health":
-                return 200, self.service.health(), None
-            return 404, {"error": f"no route for {method} {path}"}, None
-        except GatewayError as exc:
-            extra = ({"Retry-After": str(exc.retry_after)}
-                     if exc.retry_after is not None else None)
-            return exc.status, {"error": str(exc)}, extra
-        except asyncio.TimeoutError:
-            return 504, {"error": "timed out waiting for the transaction"}, None
+        if method == "POST" and path == "/tx":
+            return await self._post_tx(query, body)
+        if method == "GET" and path.startswith("/tx/"):
+            return self._get_tx(path[len("/tx/"):])
+        if method == "GET" and path.startswith("/balance/"):
+            return await self._get_balance(path[len("/balance/"):])
+        if method == "GET" and path == "/health":
+            return 200, self.service.health(), None
+        return 404, {"error": f"no route for {method} {path}"}, None
 
     async def _post_tx(self, query: Dict[str, str], body: bytes):
+        timeout = self.wait_timeout
+        if "timeout" in query:
+            invalid = BadRequest(f"invalid timeout {query['timeout']!r}")
+            try:
+                timeout = float(query["timeout"])
+            except ValueError:
+                raise invalid from None
+            if not (math.isfinite(timeout) and timeout >= 0):
+                raise invalid
         try:
             request = json.loads(body.decode() or "{}")
             function = request["function"]
@@ -636,7 +520,6 @@ class GatewayHttp:
         if not wait:
             return 202, {"tx_id": tx.tx_id, "outcome": record.outcome.value,
                          "shards": list(record.shards)}, None
-        timeout = float(query.get("timeout", self.wait_timeout))
         record = await asyncio.wait_for(future, timeout)
         return 200, record_json(record), None
 

@@ -110,8 +110,8 @@ class ServiceCluster:
             await self.http.close()
         if self.service is not None:
             for shard_id in range(self.num_shards):
-                if shard_id not in self.service._down:
-                    self.service._send_frame(shard_id, KIND_SHUTDOWN, None)
+                if self.service.shard_state(shard_id) != "down":
+                    self.service.send_frame(shard_id, KIND_SHUTDOWN, None)
             deadline = asyncio.get_running_loop().time() + timeout
             while (any(p.is_alive() for p in self.processes)
                    and asyncio.get_running_loop().time() < deadline):
@@ -157,6 +157,13 @@ async def _amain(args: argparse.Namespace) -> int:
         print(json.dumps({"event": "failed", "error": str(exc)}), flush=True)
         await cluster.stop()
         return 1
+    # Handlers go in before the ready line: a supervisor may signal the
+    # moment it reads "ready", and the default SIGTERM action would kill
+    # this process without draining (and orphan the shard processes).
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(sig, stop.set)
     print(json.dumps({
         "event": "ready",
         "endpoint": cluster.endpoint,
@@ -167,10 +174,6 @@ async def _amain(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "benchmark": args.benchmark,
     }), flush=True)
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(sig, stop.set)
     await stop.wait()
     assert cluster.service is not None
     summary = await cluster.service.drain(args.drain_timeout)

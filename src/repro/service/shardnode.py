@@ -27,18 +27,15 @@ from __future__ import annotations
 
 import asyncio
 import signal
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.consensus.base import CommitEvent
 from repro.consensus.cluster import ConsensusCluster
-from repro.ledger.chaincode import ChaincodeRegistry
 from repro.ledger.transaction import TransactionReceipt
 from repro.runtime.wallclock import AsyncioRuntime
 from repro.service.socketnet import SocketNetwork
 from repro.sim.network import Message, REQUEST_CHANNEL
-from repro.workloads.generator import shard_of_key
-from repro.workloads.kvstore import KVStoreWorkload
-from repro.workloads.smallbank import SmallbankWorkload, initial_balances
+from repro.workloads.generator import benchmark_registry, populate_shard_state
 
 #: Node id of the gateway's control-plane agent in every SocketNetwork.
 GATEWAY_NODE_ID = 990_000
@@ -58,37 +55,6 @@ KIND_SHUTDOWN = "svc-shutdown"
 def shard_agent_id(shard_id: int) -> int:
     """Node id of shard ``shard_id``'s control-plane agent."""
     return SHARD_AGENT_BASE + shard_id
-
-
-def benchmark_registry(benchmark: str, num_keys: int) -> ChaincodeRegistry:
-    """The same per-committee chaincode registry sim mode builds.
-
-    Mirrors :meth:`ShardedBlockchain._benchmark_registry` — the differential
-    oracle needs byte-identical chaincode behaviour on both sides.
-    """
-    registry = ChaincodeRegistry()
-    if benchmark == "smallbank":
-        registry.register(SmallbankWorkload(num_accounts=num_keys).chaincode)
-    else:
-        registry.register(KVStoreWorkload(num_keys=num_keys).chaincode)
-    return registry
-
-
-def initial_items(benchmark: str, num_keys: int) -> List[Tuple[str, object]]:
-    """The benchmark's initial table (mirrors ``ShardedBlockchain._initial_items``)."""
-    if benchmark == "smallbank":
-        return list(initial_balances(num_keys).items())
-    workload = KVStoreWorkload(num_keys=num_keys)
-    return [(workload.key_name(i), "0" * 8) for i in range(min(num_keys, 5000))]
-
-
-def populate_shard_state(cluster: ConsensusCluster, shard_id: int,
-                         num_shards: int, benchmark: str, num_keys: int) -> None:
-    """Load this shard's slice of the initial table into every replica."""
-    for key, value in initial_items(benchmark, num_keys):
-        if shard_of_key(key, num_shards) == shard_id:
-            for replica in cluster.replicas:
-                replica.state.put(key, value)
 
 
 class ShardAgent:

@@ -13,8 +13,8 @@ A distributed transaction proceeds through three steps:
 :class:`DistributedTxRecord` tracks one transaction through those steps and
 :class:`TwoPhaseCommitCoordinator` manages a set of records.  The class is
 pure bookkeeping — the actual message flow is driven by
-:class:`repro.core.system.ShardedBlockchain` (full simulation) or directly by
-unit tests.  It also supports the *trusted coordinator* mode (no reference
+:class:`repro.txn.driver.TwoPhaseCommitDriver` (behind every engine) or
+directly by unit tests.  It also supports the *trusted coordinator* mode (no reference
 committee), which is what the paper's "w/o R" configurations measure.
 
 Runtime neutrality
@@ -22,10 +22,10 @@ Runtime neutrality
 The coordinator sits *below* the runtime seam on purpose: it never schedules
 anything and never reads a clock.  Every transition takes an explicit
 ``now=`` timestamp and deadlines are plain data (``prepare_deadline``)
-checked by whoever drives the flow — the simulated system passes
-``runtime.now`` from a :class:`~repro.runtime.sim.SimRuntime`, and the
-wall-clock service gateway (:mod:`repro.service.gateway`) passes the same
-from an :class:`~repro.runtime.wallclock.AsyncioRuntime`.  That is what lets
+checked by the driver — which passes ``runtime.now`` from a
+:class:`~repro.runtime.sim.SimRuntime` in the simulated engines, and from an
+:class:`~repro.runtime.wallclock.AsyncioRuntime` in the wall-clock service
+gateway (:mod:`repro.service.gateway`).  That is what lets
 the identical 2PC state machine back both the simulation and the live HTTP
 service.
 
@@ -157,6 +157,14 @@ class CoordinatorStats:
     @property
     def mean_latency(self) -> float:
         return self.latency_sum / self.latency_count if self.latency_count else 0.0
+
+    def merge(self, other: "CoordinatorStats") -> None:
+        """Fold another coordinator's statistics into these (scale-out merging)."""
+        for name, value in vars(other).items():
+            if name == "latencies":
+                self.latencies.extend(value)
+            else:
+                setattr(self, name, getattr(self, name) + value)
 
 
 @dataclass
@@ -431,15 +439,3 @@ class TwoPhaseCommitCoordinator:
         if record is None:
             raise TransactionAbortedError(f"unknown distributed transaction {tx_id!r}")
         return record
-
-    def outcome_of(self, tx_id: str) -> DistributedTxOutcome:
-        return self._record(tx_id).outcome
-
-    def pending(self) -> List[DistributedTxRecord]:
-        return [record for record in self.records.values()
-                if record.phase is not DistributedTxPhase.DONE]
-
-    def decided_but_unfinished(self) -> List[DistributedTxRecord]:
-        return [record for record in self.records.values()
-                if record.outcome is not DistributedTxOutcome.PENDING
-                and record.phase is not DistributedTxPhase.DONE]

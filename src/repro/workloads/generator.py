@@ -13,12 +13,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from repro.errors import WorkloadError
+from repro.ledger.chaincode import ChaincodeRegistry
 from repro.ledger.transaction import Transaction
 from repro.workloads.kvstore import KVStoreWorkload
-from repro.workloads.smallbank import SmallbankWorkload
+from repro.workloads.smallbank import SmallbankWorkload, initial_balances
 
 
 @lru_cache(maxsize=262144)
@@ -33,6 +34,33 @@ def shard_of_key(key: str, num_shards: int) -> int:
         raise WorkloadError("num_shards must be at least 1")
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % num_shards
+
+
+def benchmark_registry(benchmark: str, num_keys: int) -> ChaincodeRegistry:
+    """The per-committee chaincode registry every engine's shards run."""
+    registry = ChaincodeRegistry()
+    if benchmark == "smallbank":
+        registry.register(SmallbankWorkload(num_accounts=num_keys).chaincode)
+    else:
+        registry.register(KVStoreWorkload(num_keys=num_keys).chaincode)
+    return registry
+
+
+def initial_items(benchmark: str, num_keys: int) -> List[Tuple[str, object]]:
+    """The benchmark's initial (key, value) table, before shard routing."""
+    if benchmark == "smallbank":
+        return list(initial_balances(num_keys).items())
+    workload = KVStoreWorkload(num_keys=num_keys)
+    return [(workload.key_name(i), "0" * 8) for i in range(min(num_keys, 5000))]
+
+
+def populate_shard_state(cluster: Any, shard_id: int, num_shards: int,
+                         benchmark: str, num_keys: int) -> None:
+    """Load shard ``shard_id``'s slice of the initial table into every replica."""
+    for key, value in initial_items(benchmark, num_keys):
+        if shard_of_key(key, num_shards) == shard_id:
+            for replica in cluster.replicas:
+                replica.state.put(key, value)
 
 
 @dataclass
