@@ -437,8 +437,8 @@ class HomeCoordinator:
         self.config: ShardedSystemConfig = partition.config
         self.sim = partition.sim
         self.shard_id: int = partition.shard_id
-        #: Per-home fault copy: hook counters (drop budgets, crash counts)
-        #: advance with this partition's own transaction history only.
+        # Per-home fault copy: hook counters (drop budgets, crash counts)
+        # advance with this partition's own transaction history only.
         fault = copy.deepcopy(self.config.fault_scenario)
         if fault is not None:
             fault.bind(partition)

@@ -143,7 +143,6 @@ class GatewayService:
         self.benchmark = benchmark
         self.num_keys = num_keys
         self.max_inflight = max_inflight
-        self.prepare_timeout = prepare_timeout
         self.network = SocketNetwork(runtime, listen_host=listen_host)
         self.network.on_peer_down = self._on_peer_down
         self._down: Dict[int, str] = {}

@@ -14,8 +14,9 @@ A distributed transaction proceeds through three steps:
 :class:`TwoPhaseCommitCoordinator` manages a set of records.  The class is
 pure bookkeeping — the actual message flow is driven by
 :class:`repro.txn.driver.TwoPhaseCommitDriver` (behind every engine) or
-directly by unit tests.  It also supports the *trusted coordinator* mode (no reference
-committee), which is what the paper's "w/o R" configurations measure.
+directly by unit tests.  It also supports the *trusted coordinator* mode (no
+reference committee), which is what the paper's "w/o R" configurations
+measure.
 
 Runtime neutrality
 ------------------

@@ -443,6 +443,8 @@ class TwoPhaseCommitDriver:
         missing = [shard for shard in record.shards if shard not in record.commit_acks]
         live = [shard for shard in missing if shard not in self.down]
         if missing and (not live or self._budget_spent(record)):
+            # Past the budget, or with only down shards missing, the acks
+            # are forced so the record finishes instead of hanging.
             self.force_acks(record, missing)
             return
         if live:
