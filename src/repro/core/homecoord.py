@@ -93,7 +93,11 @@ def partition_tx_counter(shard_id: int) -> "itertools.count":
 
 
 def partition_stream_seed(seed: int, shard_id: int) -> int:
-    """Per-partition split of a driver workload seed (distinct per shard)."""
+    """Per-partition split of a seed (distinct per shard).
+
+    Seeds a partition's own simulator from the system seed and its split of
+    each open-loop driver's stream from the driver's workload seed.
+    """
     return seed * 1_000_003 + 7_919 * shard_id + 17
 
 

@@ -92,7 +92,6 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.consensus.cluster import ConsensusCluster, member_node_id
-from repro.core.adversary import AdversaryState
 from repro.core.config import ShardedSystemConfig
 from repro.core.homecoord import (
     PARENT,
@@ -108,14 +107,20 @@ from repro.core.homecoord import (
     group_by_dest,
     home_shard,
     inbound_sort_key,
+    partition_stream_seed,
     partition_tx_counter,
 )
-from repro.core.system import REFERENCE_SHARD_ID, ShardedBlockchain, ShardedRunResult
+from repro.core.system import (
+    REFERENCE_SHARD_ID,
+    ShardedBlockchain,
+    ShardedSystemBase,
+    build_committee,
+    joiner_transfer_seconds,
+    place_committees,
+    quorum_margin,
+)
 from repro.errors import ConfigurationError, SimulationError
-from repro.ledger.chaincode import ChaincodeRegistry
 from repro.ledger.transaction import Transaction, swap_tx_counter
-from repro.sharding.assignment import assign_committees
-from repro.sharding.reconfiguration import state_transfer_seconds
 from repro.sim.latency import LanLatencyModel
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
@@ -125,11 +130,10 @@ from repro.txn.coordinator import (
     DistributedTxPhase,
     DistributedTxRecord,
 )
-from repro.txn.reference_committee import ReferenceCommitteeChaincode
-from repro.workloads.generator import benchmark_registry, populate_shard_state
+from repro.workloads.generator import populate_shard_state
 
 
-def build_system(config: ShardedSystemConfig) -> ShardedBlockchain:
+def build_system(config: ShardedSystemConfig) -> ShardedSystemBase:
     """Build the engine the config asks for.
 
     ``workers=None`` — the default — returns the legacy single-simulation
@@ -139,11 +143,6 @@ def build_system(config: ShardedSystemConfig) -> ShardedBlockchain:
     if config.workers is None:
         return ShardedBlockchain(config)
     return ScaleOutShardedBlockchain(config)
-
-
-def _partition_seed(seed: int, shard_id: int) -> int:
-    """Seed of a shard partition's own simulator (distinct per shard)."""
-    return seed * 1_000_003 + 7_919 * shard_id + 17
 
 
 @dataclass
@@ -172,35 +171,13 @@ class ShardPartition:
         self.config = config
         self.shard_id = shard_id
         self.is_reference = shard_id == REFERENCE_SHARD_ID
-        self.sim = Simulator(seed=_partition_seed(config.seed, shard_id))
+        self.sim = Simulator(seed=partition_stream_seed(config.seed, shard_id))
         self.network = Network(self.sim, config.latency_model or LanLatencyModel())
         self.current_epoch = 0
         self._tx_counter = partition_tx_counter(shard_id)
-        # The committee assignment and the adversary placement are pure
-        # functions of the config, so every partition recomputes them and
-        # agrees with every other (and the parent) without state shipping.
-        assignment = assign_committees(list(range(config.total_nodes)),
-                                       config.num_shards, seed=config.seed)
-        self.adversary: Optional[AdversaryState] = (
-            AdversaryState.place(config, assignment)
-            if config.adversary is not None else None)
-        byzantine = None
-        if self.adversary is not None:
-            byzantine = (self.adversary.reference_strategy if self.is_reference
-                         else self.adversary.strategy_for(shard_id))
-        self.cluster = ConsensusCluster(
-            protocol=config.protocol,
-            n=config.committee_size,
-            config_overrides=dict(config.consensus_overrides),
-            registry_factory=self._registry_factory,
-            regions=config.regions,
-            byzantine=byzantine,
-            seed=config.seed + shard_id,
-            shard_id=shard_id,
-            sim=self.sim,
-            network=self.network,
-            max_series_samples=config.max_series_samples,
-        )
+        _, self.adversary = place_committees(config)
+        self.cluster = build_committee(config, shard_id, self.sim, self.network,
+                                       self.adversary)
         self._outbox: List[Any] = []
         self._routed: List[Command] = []
         self._outseq = itertools.count()
@@ -220,13 +197,6 @@ class ShardPartition:
                 self.adversary.arm_cluster(self.sim, self.cluster)
 
     # ------------------------------------------------------------ construction
-    def _registry_factory(self) -> ChaincodeRegistry:
-        if not self.is_reference:
-            return benchmark_registry(self.config.benchmark, self.config.num_keys)
-        registry = ChaincodeRegistry()
-        registry.register(ReferenceCommitteeChaincode())
-        return registry
-
     def add_driver(self, index: int, spec: Dict[str, Any]) -> None:
         """Attach (and start) this partition's split of driver ``index``."""
         driver = PartitionDriver(self, index, spec)
@@ -341,9 +311,8 @@ class ShardPartition:
         elif op == "admit":
             self._apply_admit(command)
         elif op == "margin":
-            if self.cluster.replicas:
-                margin = (len(self.cluster.active_replicas())
-                          - self.cluster.config.quorum_size(len(self.cluster.replicas)))
+            margin = quorum_margin(self.cluster)
+            if margin is not None:
                 self._outbox.append(MarginReport(
                     time=self.sim.now, shard=self.shard_id,
                     seq=next(self._outseq), marker=command.marker, margin=margin))
@@ -369,12 +338,8 @@ class ShardPartition:
             raise SimulationError(
                 f"scale-out desync: shard {self.shard_id} admitted {node_id}, "
                 f"parent predicted {command.node_id}")
-        transfer = command.transfer_override
-        if transfer is None:
-            source = self.cluster.state_source_replica()
-            state_bytes = source.state.size_bytes() if source is not None else 0
-            transfer = state_transfer_seconds(
-                state_bytes, bandwidth_bps=self.config.state_bandwidth_bps)
+        transfer = joiner_transfer_seconds(self.cluster, self.config,
+                                           command.transfer_override)
         self.sim.schedule(transfer, self.cluster.activate_member, node_id)
         self._outbox.append(AdmitReport(
             time=self.sim.now, shard=self.shard_id, seq=next(self._outseq),
@@ -685,19 +650,17 @@ class _ProcessExecutor:
 # The scale-out system.
 # --------------------------------------------------------------------------
 
-class ScaleOutShardedBlockchain(ShardedBlockchain):
+class ScaleOutShardedBlockchain(ShardedSystemBase):
     """The partitioned engine: same API, barrier-synchronized execution.
 
-    See the module docstring for the model.  Construction reuses the base
-    class with the shard-facing hooks overridden: shard "clusters" become
-    :class:`_ShardHandle` control stubs, and the coordination layer, the
-    reference committee, lock admission, fault injection and the drivers
-    all live inside the partitions.  The parent retains the epoch and
-    adversary *control* machinery, the client-forwarding API and the
-    barrier loop itself.
+    See the module docstring for the model.  Every committee (the reference
+    committee as partition ``REFERENCE_SHARD_ID``), the 2PC coordination,
+    lock admission, fault injection and the drivers live inside the
+    partitions.  The parent keeps the epoch and adversary *control*
+    machinery — its per-shard controls are buffered partition commands —
+    the client-forwarding API and the barrier loop itself.
     """
 
-    SUPPORTS_WORKERS = True
     #: OpenLoopDriver checks this: on this engine drivers register a spec
     #: and the partitions generate (their splits of) the arrival stream.
     IN_PARTITION_DRIVERS = True
@@ -706,27 +669,26 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
         if config.workers is None:
             raise ConfigurationError(
                 "ScaleOutShardedBlockchain requires config.workers")
-        # State the overridden construction hooks touch; must exist before
-        # the base constructor runs them.
+        super().__init__(config)
+        self.barrier_interval = (config.barrier_interval
+                                 if config.barrier_interval is not None
+                                 else config.relay_delay)
         self._cmd_buffer: List[Command] = []
         self._parent_seq = itertools.count()
         self._marker_counter = itertools.count()
         self._pending_admits: Dict[int, _BatchState] = {}
         self._margin_sinks: Dict[int, Any] = {}
         self._executor: Optional[Any] = None
-        self._next_slot: Dict[int, int] = {}
+        #: Next free member slot per shard (admissions predict joiner ids).
+        self._next_slot = {shard_id: config.committee_size
+                           for shard_id in range(config.num_shards)}
         self._driver_specs: List[Dict[str, Any]] = []
         self._remote_txs: Dict[str, Tuple[DistributedTxRecord, Optional[Callable]]] = {}
         #: Wall-clock split of the barrier loop: time inside executor windows
         #: (partition work) vs. time draining the parent's own simulation.
         self._window_seconds = 0.0
         self._parent_seconds = 0.0
-        super().__init__(config)
-        self._next_slot = {shard_id: config.committee_size
-                           for shard_id in range(config.num_shards)}
-        self.barrier_interval = (config.barrier_interval
-                                 if config.barrier_interval is not None
-                                 else config.relay_delay)
+        self._start_epoch_clock()
 
     # -------------------------------------------------------------- executor
     @property
@@ -752,35 +714,6 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
     def close(self) -> None:
         if self._executor is not None:
             self._executor.close()
-
-    # --------------------------------------------------- construction hooks
-    def _build_shard_cluster(self, shard_id: int) -> Any:
-        return _ShardHandle(self, shard_id)
-
-    def _bind_fault_scenario(self):
-        return None  # per-home deep copies bind inside the partitions
-
-    def _build_admission(self):
-        return None  # participant-side admission lives in the partitions
-
-    def _maybe_build_reference(self):
-        return None  # the reference committee is partition REFERENCE_SHARD_ID
-
-    def _populate_states(self) -> None:
-        pass  # each partition loads its own slice of the key space
-
-    def _attach_observers(self) -> None:
-        pass  # receipts are watched inside the partitions
-
-    def _arm_adversary(self) -> None:
-        pass  # the partition owning tee_rollback_shard arms its own copy
-
-    def _initial_replica_map(self) -> Dict[int, int]:
-        mapping: Dict[int, int] = {}
-        for committee in self.assignment.committees:
-            for slot, logical in enumerate(committee.members):
-                mapping[logical] = member_node_id(committee.shard_id, slot)
-        return mapping
 
     # ------------------------------------------------------------ drivers
     def register_partition_driver(self, spec: Dict[str, Any]) -> int:
@@ -912,14 +845,6 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
             else:  # pragma: no cover - protocol bug guard
                 raise SimulationError(f"unknown partition output {item!r}")
 
-    # ------------------------------------------------------------ relays
-    def _relay_cohort(self, group: List[Tuple[int, Transaction]],
-                      extra_delay: float = 0.0,
-                      attempt: int = 0) -> None:  # pragma: no cover
-        raise SimulationError(
-            "parent-side cohort relay on the scale-out engine: coordination "
-            "traffic must originate in the home partitions")
-
     # ------------------------------------------------------------ run/results
     def coordination_stats(self) -> CoordinatorStats:
         """Merge the per-partition home coordinators' statistics.
@@ -934,33 +859,11 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
             merged.merge(per_partition[shard_id])
         return merged
 
-    def result(self, duration: float) -> ShardedRunResult:
-        stats = self.coordination_stats()
+    def _committee_summaries(self, with_reference: bool) -> Dict[int, Dict[str, int]]:
         summaries = self.executor.summaries()
-        per_shard = {shard_id: summaries[shard_id]["committed"]
-                     for shard_id in sorted(summaries)
-                     if shard_id != REFERENCE_SHARD_ID}
-        reference = summaries.get(REFERENCE_SHARD_ID)
-        return ShardedRunResult(
-            duration=duration,
-            committed_transactions=stats.committed,
-            aborted_transactions=stats.aborted,
-            throughput_tps=stats.committed / duration if duration > 0 else 0.0,
-            abort_rate=stats.abort_rate,
-            mean_latency=stats.mean_latency,
-            cross_shard_fraction=(stats.cross_shard / stats.started
-                                  if stats.started else 0.0),
-            per_shard_committed=per_shard,
-            reference_committee_transactions=(reference["committed"]
-                                              if reference is not None else 0),
-            current_epoch=self.epochs.current_epoch,
-            reconfigurations_completed=self.reconfigurations_completed,
-        )
-
-    def shard_summaries(self) -> Dict[int, Dict[str, int]]:
-        return {shard_id: summary
-                for shard_id, summary in self.executor.summaries().items()
-                if shard_id != REFERENCE_SHARD_ID}
+        if not with_reference:
+            summaries.pop(REFERENCE_SHARD_ID, None)
+        return summaries
 
     def audit_clusters(self) -> Dict[int, ConsensusCluster]:
         if self.config.workers > 1:
@@ -972,6 +875,17 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
                 for shard_id, partition in self.executor.partitions.items()}
 
     # ------------------------------------------------------------ epoch ops
+    def _enable_request_tracking(self) -> None:
+        self._emit_to_shards("track")
+
+    def _prepare_for_membership_change(self) -> None:
+        self._emit_to_shards("prepare")
+
+    def _emit_to_shards(self, op: str) -> None:
+        due = self.sim.now + self.config.relay_delay
+        for shard_id in range(self.config.num_shards):
+            self._emit(Command(due=due, dest=shard_id, op=op))
+
     def _run_migration_step(self, transition: Any, index: int) -> None:
         """Emit one swap batch as partition control ops; reports pace the next.
 
@@ -1011,7 +925,7 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
             self._pending_admits[marker] = batch
         # Margins are sampled on every shard after this batch's ops applied,
         # mirroring the legacy per-batch _record_membership_margins sweep.
-        for shard_id in sorted(self.shards):
+        for shard_id in range(self.config.num_shards):
             marker = next(self._marker_counter)
             self._margin_sinks[marker] = transition.stats
             self._emit(Command(due=due, dest=shard_id, op="margin",
@@ -1038,37 +952,5 @@ class ScaleOutShardedBlockchain(ShardedBlockchain):
                               transition, batch.index + 1)
 
     def _on_margin_report(self, report: MarginReport) -> None:
-        stats = self._margin_sinks.pop(report.marker)
-        previous = stats.min_active_margin.get(report.shard)
-        if previous is None or report.margin < previous:
-            stats.min_active_margin[report.shard] = report.margin
+        self._margin_sinks.pop(report.marker).record_margin(report.shard, report.margin)
 
-
-class _ShardHandle:
-    """Parent-side stand-in for a partitioned shard's cluster.
-
-    Implements exactly the cluster surface the parent's *control* paths use
-    (request tracking and membership-change preparation become buffered
-    commands); data-path calls must originate inside the partitions, so a
-    direct ``submit`` is a protocol bug and says so.
-    """
-
-    def __init__(self, system: ScaleOutShardedBlockchain, shard_id: int) -> None:
-        self.system = system
-        self.shard_id = shard_id
-
-    def submit(self, transactions: Any, to: Any = None, attempt: int = 0) -> None:
-        raise SimulationError(
-            f"direct submit to partitioned shard {self.shard_id}: benchmark "
-            "traffic enters through submit_transaction (forwarded to the "
-            "home partition) or the in-partition drivers")
-
-    def enable_request_tracking(self) -> None:
-        self.system._emit(Command(
-            due=self.system.sim.now + self.system.config.relay_delay,
-            dest=self.shard_id, op="track"))
-
-    def prepare_for_membership_change(self) -> None:
-        self.system._emit(Command(
-            due=self.system.sim.now + self.system.config.relay_delay,
-            dest=self.shard_id, op="prepare"))

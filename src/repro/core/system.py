@@ -66,51 +66,27 @@ reconfiguration) none of this schedules events or draws randomness: the
 no-epoch run is event-for-event identical to the seed implementation, which
 ``tests/test_epoch_lifecycle.py`` verifies differentially.
 
-Scale-out and the barrier-exchange model
-----------------------------------------
-``ShardedSystemConfig.workers`` switches the deployment to the partitioned
-engine in :mod:`repro.core.scaleout` (build via
-:func:`repro.core.build_system`).  The model is conservative synchronous
-parallel discrete-event simulation:
-
-* Every shard committee becomes a :class:`~repro.core.scaleout.ShardPartition`
-  — its own :class:`Simulator`, :class:`Network` and RNG streams — while the
-  coordination layer (2PC coordinator, reference committee, admission, fault
-  injection, epoch control) stays on the parent simulation.
-* The only parent->shard traffic is a handful of call sites that all pay at
-  least ``relay_delay`` before the shard acts (``_relay_cohort`` and the
-  epoch/adversary control operations); the only
-  shard->parent traffic is commit receipts and migration reports, which
-  carry their exact occurrence times.  ``relay_delay`` is therefore a
-  *lookahead*: during any window of length ``barrier_interval <=
-  relay_delay``, no side can affect the other's present.
-* Execution alternates in windows ``(T, T + barrier]``: partitions drain
-  their windows first (buffered commands injected at their exact due
-  times), their outputs are injected into the parent at their exact
-  occurrence times in a fixed (time, shard, sequence) order, then the
-  parent drains its window and the commands it emitted are shipped at the
-  next barrier.
-
-Because commands and receipts carry exact times — never barrier-aligned
-ones — the fingerprint is invariant under the barrier length and under the
-worker count: ``workers=1`` (all partitions drained inline, the
-seed-faithful scale-out path) and ``workers=N`` (partitions spread over N
-processes) produce bit-identical commit/abort/view-change outcomes, which
-``tests/test_scaleout_differential.py`` verifies across the fault, epoch
-and adversary matrix.  The legacy ``workers=None`` engine shares one global
-simulation (and one network jitter RNG) across all clusters, so its event
-interleaving — and thus its fingerprints — are its own; committed baselines
-pin that path, and it stays bit-identical to the seed.
+Engines
+-------
+:class:`ShardedSystemBase` holds what both engines run: committee
+assignment and adversary placement, the epoch lifecycle, routing, results
+and analytics.  :class:`ShardedBlockchain` runs every committee and the 2PC
+coordinator on one simulation; ``ShardedSystemConfig.workers`` selects
+:class:`~repro.core.scaleout.ScaleOutShardedBlockchain` instead (build via
+:func:`repro.core.build_system`), whose module docstring describes the
+partitioned barrier-exchange model and its worker-count invariance.
 """
 
 from __future__ import annotations
 
 import warnings
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.consensus.base import CommitEvent
-from repro.consensus.cluster import ConsensusCluster
+from repro.consensus.cluster import ConsensusCluster, member_node_id
 from repro.core.adversary import AdversaryState
 from repro.core.config import ShardedSystemConfig
 from repro.core.splitters import splitter_for
@@ -130,16 +106,17 @@ from repro.sharding.reconfiguration import (
     state_transfer_seconds,
 )
 from repro.sim.latency import LanLatencyModel
-from repro.sim.monitor import Monitor
+from repro.sim.monitor import Monitor, TimeSeries
 from repro.sim.network import Network
 from repro.runtime.base import as_runtime
 from repro.sim.simulator import Simulator
 from repro.txn.coordinator import (
+    CoordinatorStats,
     DistributedTxOutcome,
     DistributedTxRecord,
     TwoPhaseCommitCoordinator,
 )
-from repro.txn.driver import TwoPhaseCommitDriver
+from repro.txn.driver import TwoPhaseCommitDriver, route_transaction
 from repro.txn.locks import DeadlockDetected, LockManager
 from repro.txn.reference_committee import ReferenceCommitteeChaincode
 from repro.workloads.generator import benchmark_registry, initial_items, shard_of_key
@@ -185,6 +162,12 @@ class EpochTransitionStats:
     #: effect: non-negative everywhere means the committee could commit at
     #: every point of the migration (the paper's liveness criterion).
     min_active_margin: Dict[int, int] = field(default_factory=dict)
+
+    def record_margin(self, shard_id: int, margin: int) -> None:
+        """Fold one post-batch margin sample into ``min_active_margin``."""
+        previous = self.min_active_margin.get(shard_id)
+        if previous is None or margin < previous:
+            self.min_active_margin[shard_id] = margin
 
 
 @dataclass
@@ -337,18 +320,97 @@ class _LockAdmission:
         self._keys.pop(tx_id, None)
 
 
-class ShardedBlockchain:
-    """A sharded permissioned blockchain deployment inside one simulation."""
+# --------------------------------------------------------------------------
+# Committees: the one construction site and sizing rules both engines share.
+# --------------------------------------------------------------------------
 
-    #: The scale-out subclass flips this; the base engine refuses a config
-    #: whose ``workers`` it would silently ignore.
-    SUPPORTS_WORKERS = False
+def place_committees(config: ShardedSystemConfig
+                     ) -> Tuple[CommitteeAssignment, Optional[AdversaryState]]:
+    """The construction committee assignment and the adversary placement.
+
+    Both are pure functions of the config, so every scale-out partition
+    recomputes them and agrees with the parent without state shipping.
+    Corruption placement precedes cluster construction because each
+    replica snapshots its shard's strategy when it is built.
+    """
+    assignment = assign_committees(list(range(config.total_nodes)),
+                                   config.num_shards, seed=config.seed)
+    adversary = (AdversaryState.place(config, assignment)
+                 if config.adversary is not None else None)
+    return assignment, adversary
+
+
+def committee_registry(config: ShardedSystemConfig, shard_id: int) -> ChaincodeRegistry:
+    """Chaincode of a committee: the 2PC state machine for the reference
+    committee, the benchmark chaincode for every shard."""
+    if shard_id != REFERENCE_SHARD_ID:
+        return benchmark_registry(config.benchmark, config.num_keys)
+    registry = ChaincodeRegistry()
+    registry.register(ReferenceCommitteeChaincode())
+    return registry
+
+
+def build_committee(config: ShardedSystemConfig, shard_id: int, sim: Simulator,
+                    network: Network,
+                    adversary: Optional[AdversaryState]) -> ConsensusCluster:
+    """Build shard ``shard_id``'s committee (or the reference committee's)."""
+    byzantine = None
+    if adversary is not None:
+        byzantine = (adversary.reference_strategy if shard_id == REFERENCE_SHARD_ID
+                     else adversary.strategy_for(shard_id))
+    return ConsensusCluster(
+        protocol=config.protocol,
+        n=config.committee_size,
+        config_overrides=dict(config.consensus_overrides),
+        registry_factory=partial(committee_registry, config, shard_id),
+        regions=config.regions,
+        byzantine=byzantine,
+        seed=config.seed + shard_id,
+        shard_id=shard_id,
+        sim=sim,
+        network=network,
+        max_series_samples=config.max_series_samples,
+    )
+
+
+def quorum_margin(cluster: ConsensusCluster) -> Optional[int]:
+    """Active members minus quorum size (None for an empty committee)."""
+    if not cluster.replicas:
+        return None
+    return (len(cluster.active_replicas())
+            - cluster.config.quorum_size(len(cluster.replicas)))
+
+
+def joiner_transfer_seconds(cluster: ConsensusCluster, config: ShardedSystemConfig,
+                            override: Optional[float]) -> float:
+    """The state-transfer delay of a node joining ``cluster`` (or ``override``).
+
+    Sized from the same member the joiner will install from (including the
+    escrowed state of a fully-replaced committee), so a swap-all
+    replacement never sees an empty fresh joiner and concludes the transfer
+    is free.
+    """
+    if override is not None:
+        return override
+    source = cluster.state_source_replica()
+    return state_transfer_seconds(source.state.size_bytes() if source is not None else 0,
+                                  bandwidth_bps=config.state_bandwidth_bps)
+
+
+# --------------------------------------------------------------------------
+# The engines.
+# --------------------------------------------------------------------------
+
+class ShardedSystemBase(ABC):
+    """What both engines run: committees, epochs, routing, results.
+
+    A subclass builds (or partitions) the committees, then ends its
+    constructor with :meth:`_start_epoch_clock`.  Besides the abstract
+    methods below it provides the client surface ``submit_transaction`` and
+    ``pending_activity``.
+    """
 
     def __init__(self, config: ShardedSystemConfig) -> None:
-        if config.workers is not None and not self.SUPPORTS_WORKERS:
-            raise ConfigurationError(
-                "config.workers requires the scale-out engine; build the "
-                "system via repro.core.build_system(config)")
         self.config = config
         self.sim = Simulator(seed=config.seed)
         #: All protocol-side scheduling (2PC deadlines, relays, epoch timers)
@@ -356,43 +418,13 @@ class ShardedBlockchain:
         #: simulator for harness-only draining (``advance``/``pending_activity``).
         self.runtime = as_runtime(self.sim)
         self.network = Network(self.runtime, config.latency_model or LanLatencyModel())
-        self.monitor = Monitor(max_samples=config.max_series_samples)
-        self._receipt_watchers: Dict[str, Callable[[TransactionReceipt], None]] = {}
-        #: Relay per-shard prepare/decision submissions as one cohort event
-        #: (order-identical to the seed's one-event-per-shard scheduling; the
-        #: differential test flips this off to prove it).
-        self._cohort_relay = True
-
-        self.assignment = self._form_committees()
-        #: Armed Byzantine adversary (see ``ShardedSystemConfig.adversary``):
-        #: corruption placement happens before the clusters are built because
-        #: each replica snapshots its shard's strategy at construction.
-        self.adversary: Optional[AdversaryState] = (
-            AdversaryState.place(config, self.assignment)
-            if config.adversary is not None else None)
-        #: The 2PC driver, with this engine as its port.  Under an armed
-        #: adversary a decision's first-contact member may swallow it (a
-        #: silent Byzantine replica), so decisions get a re-drive deadline;
-        #: honest runs never lose decisions and arm no such timer.
-        self.driver = TwoPhaseCommitDriver(
-            self.runtime,
-            TwoPhaseCommitCoordinator(
-                config.use_reference_committee, retain_records=config.retain_tx_records,
-                prepare_timeout=config.prepare_timeout),
-            splitter_for(config.benchmark), self.shard_of_key, self,
-            fault=self._bind_fault_scenario(),
-            decision_timeout=(config.prepare_timeout
-                              if self.adversary is not None else None))
-        self.admission: Optional[_LockAdmission] = self._build_admission()
-        self.driver.admission = self.admission
-        self.shards: Dict[int, ConsensusCluster] = {}
-        for shard_id in range(config.num_shards):
-            self.shards[shard_id] = self._build_shard_cluster(shard_id)
-        self.reference: Optional[ConsensusCluster] = self._maybe_build_reference()
-        self._arm_adversary()
-        self._populate_states()
-        self._attach_observers()
-
+        self.splitter = splitter_for(config.benchmark)
+        #: Committee assignment and the armed Byzantine adversary (see
+        #: ``ShardedSystemConfig.adversary``), both pure functions of config.
+        self.assignment, self.adversary = place_committees(config)
+        #: The reference committee's cluster when it runs on this simulation
+        #: (the scale-out engine runs it as a partition instead).
+        self.reference: Optional[ConsensusCluster] = None
         #: The live epoch schedule; epoch 0 is the construction assignment.
         self.epochs = EpochSchedule(
             epoch_duration=(config.epoch_duration
@@ -403,7 +435,10 @@ class ShardedBlockchain:
         #: the replica currently embodying that node.  A migration retires
         #: the old replica and binds the logical node to its successor in
         #: the destination cluster.
-        self._replica_of: Dict[int, int] = self._initial_replica_map()
+        self._replica_of: Dict[int, int] = {
+            logical: member_node_id(committee.shard_id, slot)
+            for committee in self.assignment.committees
+            for slot, logical in enumerate(committee.members)}
         #: History of executed epoch transitions (stats + their plans).
         self.epoch_transitions: List[EpochTransitionStats] = []
         #: The commit-time analytics index (None until ``enable_analytics``).
@@ -411,146 +446,54 @@ class ShardedBlockchain:
         self._active_transition: Optional[_ActiveTransition] = None
         self.reconfigurations_completed = 0
         self.epoch_boundaries_skipped = 0
-        if config.auto_reconfigure:
-            # The only scheduling the epoch machinery does by default-off
-            # config: one timer per boundary.  A run that never reaches the
-            # first boundary is event-for-event identical to the seed path.
-            for cluster in self.shards.values():
-                cluster.enable_request_tracking()
-            self.runtime.schedule(config.epoch_duration, self._epoch_tick)
 
-    @property
-    def coordinator(self) -> TwoPhaseCommitCoordinator:
-        """The 2PC bookkeeping behind :attr:`driver` (replaceable in tests)."""
-        return self.driver.coordinator
+    def _start_epoch_clock(self) -> None:
+        """Arm the automatic epoch clock (the last step of construction).
 
-    @coordinator.setter
-    def coordinator(self, coordinator: TwoPhaseCommitCoordinator) -> None:
-        self.driver.coordinator = coordinator
-
-    # ---------------------------------------------------------------- set-up
-    def _bind_fault_scenario(self):
-        """Bind the configured fault scenario to this engine.
-
-        The scale-out engine overrides this to return None: there the fault
-        hooks are consulted by per-partition deep copies of the scenario (one
-        per home coordinator), never by the parent.
+        The only scheduling the epoch machinery does by default-off config:
+        one timer per boundary.  A run that never reaches the first boundary
+        is event-for-event identical to the seed path.
         """
-        fault = self.config.fault_scenario
-        if fault is not None:
-            fault.bind(self)
-        return fault
+        if self.config.auto_reconfigure:
+            self._enable_request_tracking()
+            self.runtime.schedule(self.config.epoch_duration, self._epoch_tick)
 
-    def _build_admission(self) -> Optional["_LockAdmission"]:
-        """Build the coordinator-side lock-admission mirror (queueing policies).
+    # -------------------------------------------------------- engine surface
+    @abstractmethod
+    def advance(self, until: float, max_events: Optional[int] = None) -> None:
+        """Advance the deployment to simulated time ``until``.
 
-        The scale-out engine overrides this to return None: admission lives
-        inside each partition's home coordinator instead of on the parent.
+        The engine-neutral way to drive a system: drivers and the auditor go
+        through this instead of touching the simulator directly.
         """
-        if self.config.conflict_policy != "abort":
-            return _LockAdmission(self)
-        return None
 
-    def _maybe_build_reference(self) -> Optional[ConsensusCluster]:
-        """Build the reference committee's cluster on this simulation.
+    @abstractmethod
+    def coordination_stats(self) -> CoordinatorStats:
+        """Aggregate 2PC coordination statistics (engine-neutral)."""
 
-        The scale-out engine overrides this to return None: there the
-        reference committee is partition ``REFERENCE_SHARD_ID``, scheduled
-        like any shard partition.
-        """
-        if self.config.use_reference_committee:
-            return self._build_reference_cluster()
-        return None
+    @abstractmethod
+    def _committee_summaries(self, with_reference: bool) -> Dict[int, Dict[str, int]]:
+        """Per-committee ``committed``/``view_changes`` counts, keyed by shard
+        id (the reference committee under ``REFERENCE_SHARD_ID`` if asked)."""
 
-    def _form_committees(self) -> CommitteeAssignment:
-        node_ids = list(range(self.config.total_nodes))
-        return assign_committees(node_ids, self.config.num_shards, seed=self.config.seed)
+    @abstractmethod
+    def audit_clusters(self) -> Dict[int, ConsensusCluster]:
+        """The real committee clusters, for the auditor to attach observers to."""
 
-    def _arm_adversary(self) -> None:
-        """Arm the adversary on this simulation (scale-out arms per partition)."""
-        if self.adversary is not None:
-            self.adversary.arm(self)
+    @abstractmethod
+    def _enable_request_tracking(self) -> None:
+        """Have every shard committee track client requests (epoch prologue)."""
 
-    def _initial_replica_map(self) -> Dict[int, int]:
-        """Logical node id -> physical node id of the construction assignment."""
-        mapping: Dict[int, int] = {}
-        for committee in self.assignment.committees:
-            cluster = self.shards[committee.shard_id]
-            for logical, replica in zip(committee.members, cluster.replicas):
-                mapping[logical] = replica.node_id
-        return mapping
+    @abstractmethod
+    def _prepare_for_membership_change(self) -> None:
+        """Ready every shard committee for an imminent membership change."""
 
-    def _benchmark_registry(self) -> ChaincodeRegistry:
-        return benchmark_registry(self.config.benchmark, self.config.num_keys)
+    @abstractmethod
+    def _run_migration_step(self, transition: _ActiveTransition, index: int) -> None:
+        """Execute swap batch ``index``; completes the transition after the last."""
 
-    def _build_shard_cluster(self, shard_id: int) -> ConsensusCluster:
-        return ConsensusCluster(
-            protocol=self.config.protocol,
-            n=self.config.committee_size,
-            config_overrides=dict(self.config.consensus_overrides),
-            registry_factory=self._benchmark_registry,
-            regions=self.config.regions,
-            byzantine=(self.adversary.strategy_for(shard_id)
-                       if self.adversary is not None else None),
-            seed=self.config.seed + shard_id,
-            shard_id=shard_id,
-            sim=self.sim,
-            network=self.network,
-            max_series_samples=self.config.max_series_samples,
-        )
-
-    def _build_reference_cluster(self) -> ConsensusCluster:
-        def registry_factory() -> ChaincodeRegistry:
-            registry = ChaincodeRegistry()
-            registry.register(ReferenceCommitteeChaincode())
-            return registry
-
-        return ConsensusCluster(
-            protocol=self.config.protocol,
-            n=self.config.committee_size,
-            config_overrides=dict(self.config.consensus_overrides),
-            registry_factory=registry_factory,
-            regions=self.config.regions,
-            byzantine=(self.adversary.reference_strategy
-                       if self.adversary is not None else None),
-            seed=self.config.seed + REFERENCE_SHARD_ID,
-            shard_id=REFERENCE_SHARD_ID,
-            sim=self.sim,
-            network=self.network,
-            max_series_samples=self.config.max_series_samples,
-        )
-
-    def populate_initial_state(self, shard_id: int, state: StateStore) -> None:
-        """Load one shard's slice of the initial table into ``state``.
-
-        The same population every shard replica got at construction — the
-        rebuild oracle uses this to seed its replay engines so re-derived
-        receipts match the live execution exactly.
-        """
-        for key, value in initial_items(self.config.benchmark, self.config.num_keys):
-            if self.shard_of_key(key) == shard_id:
-                state.put(key, value)
-
-    def _populate_states(self) -> None:
-        """Load every shard's replicas with the keys that hash to that shard."""
-        for key, value in initial_items(self.config.benchmark, self.config.num_keys):
-            shard_id = self.shard_of_key(key)
-            for replica in self.shards[shard_id].replicas:
-                replica.state.put(key, value)
-
-    def _attach_observers(self) -> None:
-        for shard_id, cluster in self.shards.items():
-            cluster.subscribe_commits(self._make_observer(shard_id))
-        if self.reference is not None:
-            self.reference.subscribe_commits(self._make_observer(REFERENCE_SHARD_ID))
-
-    def _make_observer(self, shard_id: int) -> Callable[[CommitEvent], None]:
-        def on_commit(event: CommitEvent) -> None:
-            for receipt in event.receipts:
-                watcher = self._receipt_watchers.pop(receipt.tx_id, None)
-                if watcher is not None:
-                    watcher(receipt)
-        return on_commit
+    def close(self) -> None:
+        """Release engine resources (worker processes); idempotent."""
 
     # --------------------------------------------------------------- routing
     def shard_of_key(self, key: str) -> int:
@@ -564,141 +507,51 @@ class ShardedBlockchain:
 
     def shards_for_transaction(self, tx: Transaction) -> List[int]:
         """The shards whose state a benchmark transaction touches."""
-        return self.driver.shards_of(tx)
+        return route_transaction(self.splitter, tx, self.shard_of_key)
 
-    # ------------------------------------------------------------ submission
-    def submit_transaction(self, tx: Transaction,
-                           on_complete: Optional[Callable[[DistributedTxRecord], None]] = None) -> DistributedTxRecord:
-        """Submit a benchmark transaction; the system routes and coordinates it."""
-        return self.driver.submit(tx, self.shards_for_transaction(tx), on_complete)
+    def populate_initial_state(self, shard_id: int, state: StateStore) -> None:
+        """Load one shard's slice of the initial table into ``state``.
 
-    # ------------------------------------------------------ 2PC driver port
-    def send_to_shards(self, record: DistributedTxRecord, op: str,
-                       items: List[Tuple[int, Transaction, float]]) -> None:
-        """Relay per-shard transactions, one cohort event per extra delay.
-
-        Cohorts go out in ascending extra-delay order.  Every transaction
-        except a single-shard retry (whose watcher is still armed) gets a
-        receipt watcher first.
+        The same population every shard replica got at construction — the
+        rebuild oracle uses this to seed its replay engines so re-derived
+        receipts match the live execution exactly.
         """
-        cohorts: Dict[float, List[Tuple[int, Transaction]]] = {}
-        for shard_id, tx, extra_delay in items:
-            if op != "retry":
-                self._watch(tx, self.driver.receipt_watcher(record, op, shard_id))
-            cohorts.setdefault(extra_delay, []).append((shard_id, tx))
-        for extra_delay in sorted(cohorts):
-            self._relay_cohort(cohorts[extra_delay], extra_delay,
-                               attempt=record.redrives)
+        for key, value in initial_items(self.config.benchmark, self.config.num_keys):
+            if self.shard_of_key(key) == shard_id:
+                state.put(key, value)
 
-    def send_to_reference(self, record: DistributedTxRecord, tx: Transaction,
-                          on_receipt: Callable[[TransactionReceipt], None]) -> None:
-        """Submit to the in-simulation reference committee after the relay delay."""
-        self._watch(tx, on_receipt)
-        attempt = record.redrives
-        self.runtime.schedule(self.config.relay_delay,
-                              lambda: self.reference.submit([tx], attempt=attempt))
-
-    def report_finished(self, record: DistributedTxRecord,
-                        on_complete: Optional[Callable[[DistributedTxRecord], None]]) -> None:
-        if on_complete is not None:
-            on_complete(record)
-
-    def _relay_cohort(self, group: List[Tuple[int, Transaction]],
-                      extra_delay: float = 0.0, attempt: int = 0) -> None:
-        """Relay per-shard submissions after the client-relay delay.
-
-        This is the *complete* set of parent-to-shard transaction submission
-        sites, which is what lets the scale-out engine stub it out: there,
-        coordination traffic originates in the home partitions.  As one
-        scheduler event for the whole cohort by default — consecutive
-        same-time events fire back to back anyway, so this is order-identical
-        to the seed's one-event-per-shard scheduling (the differential test
-        flips ``_cohort_relay`` off to prove it).  ``attempt`` (the record's
-        re-drive count) rotates the receiving replica on retries so a lost
-        submission is not re-pinned to the member that swallowed it."""
-        if self._cohort_relay:
-            def submit_group(batch=tuple(group)) -> None:
-                for shard_id, tx in batch:
-                    self.shards[shard_id].submit([tx], attempt=attempt)
-            self.runtime.schedule(self.config.relay_delay + extra_delay, submit_group)
-        else:
-            for shard_id, tx in group:
-                self.runtime.schedule(self.config.relay_delay + extra_delay,
-                                  lambda sid=shard_id, stx=tx:
-                                  self.shards[sid].submit([stx], attempt=attempt))
-
-    def _watch(self, tx: Transaction, callback: Callable[[TransactionReceipt], None]) -> None:
-        self._receipt_watchers[tx.tx_id] = callback
+    def _benchmark_registry(self) -> ChaincodeRegistry:
+        return benchmark_registry(self.config.benchmark, self.config.num_keys)
 
     # ------------------------------------------------------------------- run
-    def advance(self, until: float, max_events: Optional[int] = None) -> None:
-        """Advance the deployment to simulated time ``until``.
-
-        The engine-neutral way to drive a system: drivers and the auditor go
-        through this instead of touching ``sim.run_batched`` directly, so the
-        scale-out engine can substitute its barrier loop.
-        """
-        self.sim.run_batched(until=until, max_events=max_events)
-
-    def pending_activity(self) -> bool:
-        """Whether any engine component still has events queued."""
-        return self.sim.pending_events > 0
-
-    def close(self) -> None:
-        """Release engine resources (worker processes); idempotent no-op here."""
-
     def run(self, duration: float, max_events: Optional[int] = None) -> ShardedRunResult:
-        """Advance the simulation and summarise the coordinator statistics.
-
-        Uses the batched drain loop (:meth:`Simulator.run_batched`), which is
-        observationally equivalent to the one-at-a-time loop but cheaper on
-        message-heavy runs.
-        """
+        """Advance the deployment by ``duration`` and summarise the run."""
         self.advance(self.runtime.now + duration, max_events=max_events)
         return self.result(duration)
 
-    def coordination_stats(self):
-        """Aggregate 2PC coordination statistics (engine-neutral).
-
-        The legacy engine has exactly one coordinator; the scale-out engine
-        overrides this to merge the per-partition home coordinators' stats.
-        """
-        return self.coordinator.stats
-
     def result(self, duration: float) -> ShardedRunResult:
         stats = self.coordination_stats()
-        committed = stats.committed
-        aborted = stats.aborted
-        per_shard = {
-            shard_id: cluster.honest_observer().committed_transactions()
-            for shard_id, cluster in self.shards.items()
-        }
-        reference_txs = (self.reference.honest_observer().committed_transactions()
-                         if self.reference is not None else 0)
+        summaries = self._committee_summaries(with_reference=True)
+        reference = summaries.pop(REFERENCE_SHARD_ID, None)
         return ShardedRunResult(
             duration=duration,
-            committed_transactions=committed,
-            aborted_transactions=aborted,
-            throughput_tps=committed / duration if duration > 0 else 0.0,
+            committed_transactions=stats.committed,
+            aborted_transactions=stats.aborted,
+            throughput_tps=stats.committed / duration if duration > 0 else 0.0,
             abort_rate=stats.abort_rate,
             mean_latency=stats.mean_latency,
             cross_shard_fraction=(stats.cross_shard / stats.started if stats.started else 0.0),
-            per_shard_committed=per_shard,
-            reference_committee_transactions=reference_txs,
+            per_shard_committed={shard_id: summaries[shard_id]["committed"]
+                                 for shard_id in sorted(summaries)},
+            reference_committee_transactions=(reference["committed"]
+                                              if reference is not None else 0),
             current_epoch=self.epochs.current_epoch,
             reconfigurations_completed=self.reconfigurations_completed,
         )
 
     def shard_summaries(self) -> Dict[int, Dict[str, int]]:
         """Per-shard observable outcomes (engine-neutral)."""
-        summaries: Dict[int, Dict[str, int]] = {}
-        for shard_id, cluster in self.shards.items():
-            summaries[shard_id] = {
-                "committed": cluster.honest_observer().committed_transactions(),
-                "view_changes": int(cluster.monitor.counter_value(
-                    f"view_changes.shard{shard_id}")),
-            }
-        return summaries
+        return self._committee_summaries(with_reference=False)
 
     def fingerprint(self) -> Dict[str, object]:
         """Exact observable outcome of the run so far.
@@ -720,15 +573,6 @@ class ShardedBlockchain:
             "view_changes": {shard_id: summaries[shard_id]["view_changes"]
                              for shard_id in sorted(summaries)},
         }
-
-    def audit_clusters(self) -> Dict[int, ConsensusCluster]:
-        """The real shard clusters, for the auditor to attach observers to.
-
-        The scale-out engine overrides this to expose its inline partitions'
-        clusters (and to reject process-mode audits, where the replicas live
-        in other address spaces).
-        """
-        return dict(self.shards)
 
     # --------------------------------------------------------------- analytics
     def enable_analytics(self, account_history: bool = True) -> LedgerIndex:
@@ -816,8 +660,7 @@ class ShardedBlockchain:
                 f"(simulated time is {self.runtime.now!r})")
         if batch_interval is None:
             batch_interval = self.config.swap_batch_interval
-        for cluster in self.shards.values():
-            cluster.enable_request_tracking()
+        self._enable_request_tracking()
         self.runtime.schedule_at(at_time, self._begin_transition_attempt, strategy,
                              state_transfer_seconds, batch_size, batch_interval)
 
@@ -887,15 +730,201 @@ class ShardedBlockchain:
             new_map=new_assignment.membership_map(),
         )
         self._active_transition = transition
-        for cluster in self.shards.values():
-            cluster.prepare_for_membership_change()
+        self._prepare_for_membership_change()
         # Randomness generation is part of the transition window: the first
         # swap batch starts once the beacon's rnd is locked in.
         self.runtime.schedule(beacon.elapsed_seconds, self._run_migration_step,
                           transition, 0)
 
+    def _complete_transition(self, transition: _ActiveTransition) -> None:
+        self.epochs.complete_transition(self.runtime.now)
+        transition.stats.completed_at = self.runtime.now
+        self.reconfigurations_completed += 1
+        self._active_transition = None
+        if self.analytics is not None:
+            # The single wiring point (shared with the scale-out engine) that
+            # materializes a finished transition's quorum margins.
+            self.analytics.record_epoch_transition(
+                transition.stats.epoch, transition.stats.strategy,
+                transition.stats.min_active_margin)
+
+
+class ShardedBlockchain(ShardedSystemBase):
+    """A sharded permissioned blockchain deployment inside one simulation."""
+
+    def __init__(self, config: ShardedSystemConfig) -> None:
+        if config.workers is not None:
+            raise ConfigurationError(
+                "config.workers requires the scale-out engine; build the "
+                "system via repro.core.build_system(config)")
+        super().__init__(config)
+        self.monitor = Monitor(max_samples=config.max_series_samples)
+        self._receipt_watchers: Dict[str, Callable[[TransactionReceipt], None]] = {}
+        #: Relay per-shard prepare/decision submissions as one cohort event
+        #: (order-identical to the seed's one-event-per-shard scheduling; the
+        #: differential test flips this off to prove it).
+        self._cohort_relay = True
+        fault = config.fault_scenario
+        if fault is not None:
+            fault.bind(self)
+        #: The 2PC driver, with this engine as its port.  Under an armed
+        #: adversary a decision's first-contact member may swallow it (a
+        #: silent Byzantine replica), so decisions get a re-drive deadline;
+        #: honest runs never lose decisions and arm no such timer.
+        self.driver = TwoPhaseCommitDriver(
+            self.runtime,
+            TwoPhaseCommitCoordinator(
+                config.use_reference_committee, retain_records=config.retain_tx_records,
+                prepare_timeout=config.prepare_timeout),
+            self.splitter, self.shard_of_key, self, fault=fault,
+            decision_timeout=(config.prepare_timeout
+                              if self.adversary is not None else None))
+        #: Coordinator-side lock-admission mirror (queueing policies only).
+        self.admission: Optional[_LockAdmission] = (
+            _LockAdmission(self) if config.conflict_policy != "abort" else None)
+        self.driver.admission = self.admission
+        self.shards: Dict[int, ConsensusCluster] = {
+            shard_id: build_committee(config, shard_id, self.sim, self.network,
+                                      self.adversary)
+            for shard_id in range(config.num_shards)}
+        if config.use_reference_committee:
+            self.reference = build_committee(config, REFERENCE_SHARD_ID, self.sim,
+                                             self.network, self.adversary)
+        if self.adversary is not None:
+            self.adversary.arm(self)
+        # Every shard's replicas get the keys that hash to that shard.
+        for key, value in initial_items(config.benchmark, config.num_keys):
+            for replica in self.shards[self.shard_of_key(key)].replicas:
+                replica.state.put(key, value)
+        for cluster in self._clusters(with_reference=True).values():
+            cluster.subscribe_commits(self._on_commit)
+        self._start_epoch_clock()
+
+    @property
+    def coordinator(self) -> TwoPhaseCommitCoordinator:
+        """The 2PC bookkeeping behind :attr:`driver` (replaceable in tests)."""
+        return self.driver.coordinator
+
+    @coordinator.setter
+    def coordinator(self, coordinator: TwoPhaseCommitCoordinator) -> None:
+        self.driver.coordinator = coordinator
+
+    def _clusters(self, with_reference: bool) -> Dict[int, ConsensusCluster]:
+        clusters = dict(self.shards)
+        if with_reference and self.reference is not None:
+            clusters[REFERENCE_SHARD_ID] = self.reference
+        return clusters
+
+    def _on_commit(self, event: CommitEvent) -> None:
+        for receipt in event.receipts:
+            watcher = self._receipt_watchers.pop(receipt.tx_id, None)
+            if watcher is not None:
+                watcher(receipt)
+
+    # ------------------------------------------------------------ submission
+    def submit_transaction(self, tx: Transaction,
+                           on_complete: Optional[Callable[[DistributedTxRecord], None]] = None) -> DistributedTxRecord:
+        """Submit a benchmark transaction; the system routes and coordinates it."""
+        return self.driver.submit(tx, self.shards_for_transaction(tx), on_complete)
+
+    # ------------------------------------------------------ 2PC driver port
+    def send_to_shards(self, record: DistributedTxRecord, op: str,
+                       items: List[Tuple[int, Transaction, float]]) -> None:
+        """Relay per-shard transactions, one cohort event per extra delay.
+
+        Cohorts go out in ascending extra-delay order.  Every transaction
+        except a single-shard retry (whose watcher is still armed) gets a
+        receipt watcher first.
+        """
+        cohorts: Dict[float, List[Tuple[int, Transaction]]] = {}
+        for shard_id, tx, extra_delay in items:
+            if op != "retry":
+                self._watch(tx, self.driver.receipt_watcher(record, op, shard_id))
+            cohorts.setdefault(extra_delay, []).append((shard_id, tx))
+        for extra_delay in sorted(cohorts):
+            self._relay_cohort(cohorts[extra_delay], extra_delay,
+                               attempt=record.redrives)
+
+    def send_to_reference(self, record: DistributedTxRecord, tx: Transaction,
+                          on_receipt: Callable[[TransactionReceipt], None]) -> None:
+        """Submit to the in-simulation reference committee after the relay delay."""
+        self._watch(tx, on_receipt)
+        attempt = record.redrives
+        self.runtime.schedule(self.config.relay_delay,
+                              lambda: self.reference.submit([tx], attempt=attempt))
+
+    def report_finished(self, record: DistributedTxRecord,
+                        on_complete: Optional[Callable[[DistributedTxRecord], None]]) -> None:
+        if on_complete is not None:
+            on_complete(record)
+
+    def _relay_cohort(self, group: List[Tuple[int, Transaction]],
+                      extra_delay: float = 0.0, attempt: int = 0) -> None:
+        """Relay per-shard submissions after the client-relay delay.
+
+        As one scheduler event for the whole cohort by default — consecutive
+        same-time events fire back to back anyway, so this is order-identical
+        to the seed's one-event-per-shard scheduling (the differential test
+        flips ``_cohort_relay`` off to prove it).  ``attempt`` (the record's
+        re-drive count) rotates the receiving replica on retries so a lost
+        submission is not re-pinned to the member that swallowed it."""
+        if self._cohort_relay:
+            def submit_group(batch=tuple(group)) -> None:
+                for shard_id, tx in batch:
+                    self.shards[shard_id].submit([tx], attempt=attempt)
+            self.runtime.schedule(self.config.relay_delay + extra_delay, submit_group)
+        else:
+            for shard_id, tx in group:
+                self.runtime.schedule(self.config.relay_delay + extra_delay,
+                                  lambda sid=shard_id, stx=tx:
+                                  self.shards[sid].submit([stx], attempt=attempt))
+
+    def _watch(self, tx: Transaction, callback: Callable[[TransactionReceipt], None]) -> None:
+        self._receipt_watchers[tx.tx_id] = callback
+
+    # ------------------------------------------------------------------- run
+    def advance(self, until: float, max_events: Optional[int] = None) -> None:
+        """Drain the simulation to ``until`` with the batched loop
+        (:meth:`Simulator.run_batched`), observationally equivalent to the
+        one-at-a-time loop but cheaper on message-heavy runs."""
+        self.sim.run_batched(until=until, max_events=max_events)
+
+    def pending_activity(self) -> bool:
+        """Whether any engine component still has events queued."""
+        return self.sim.pending_events > 0
+
+    def coordination_stats(self) -> CoordinatorStats:
+        return self.coordinator.stats
+
+    def _committee_summaries(self, with_reference: bool) -> Dict[int, Dict[str, int]]:
+        return {shard_id: {
+                    "committed": cluster.honest_observer().committed_transactions(),
+                    "view_changes": int(cluster.monitor.counter_value(
+                        f"view_changes.shard{shard_id}"))}
+                for shard_id, cluster in self._clusters(with_reference).items()}
+
+    def audit_clusters(self) -> Dict[int, ConsensusCluster]:
+        return dict(self.shards)
+
+    def throughput_over_time(self, bucket_seconds: float = 5.0) -> List[tuple]:
+        """Committed-transaction rate over time, aggregated across shards."""
+        commits: List[tuple] = []
+        for record in self.coordinator.records.values():
+            if record.outcome is DistributedTxOutcome.COMMITTED and record.completed_at is not None:
+                commits.append((record.completed_at, 1.0))
+        series = TimeSeries.from_samples("commits", commits)
+        return series.bucketed_rate(bucket_seconds, until=self.runtime.now)
+
+    # ------------------------------------------------------------ epoch ops
+    def _enable_request_tracking(self) -> None:
+        for cluster in self.shards.values():
+            cluster.enable_request_tracking()
+
+    def _prepare_for_membership_change(self) -> None:
+        for cluster in self.shards.values():
+            cluster.prepare_for_membership_change()
+
     def _run_migration_step(self, transition: _ActiveTransition, index: int) -> None:
-        """Execute one swap batch; reschedules itself until the plan is done."""
         plan = transition.plan
         if index >= plan.num_steps:
             self._complete_transition(transition)
@@ -917,15 +946,10 @@ class ShardedBlockchain:
         Returns the modelled state-transfer delay after which the new member
         activates (starts serving in the destination committee).
         """
-        old_shard = transition.old_map[logical]
-        new_shard = transition.new_map[logical]
-        source_cluster = self.shards[old_shard]
-        dest_cluster = self.shards[new_shard]
-        transfer = transition.transfer_override
-        if transfer is None:
-            transfer = state_transfer_seconds(
-                self._shard_state_bytes(dest_cluster),
-                bandwidth_bps=self.config.state_bandwidth_bps)
+        source_cluster = self.shards[transition.old_map[logical]]
+        dest_cluster = self.shards[transition.new_map[logical]]
+        transfer = joiner_transfer_seconds(dest_cluster, self.config,
+                                           transition.transfer_override)
         if self.adversary is not None:
             # Corruption follows the logical node: the strategy must know the
             # joiner's id before admit_member constructs the replica.
@@ -937,47 +961,9 @@ class ShardedBlockchain:
         self.runtime.schedule(transfer, dest_cluster.activate_member, new_physical)
         return transfer
 
-    @staticmethod
-    def _shard_state_bytes(cluster: ConsensusCluster) -> int:
-        """The destination shard's state size, as a joining node would fetch it.
-
-        Sized from the same member the joiner will install from (including
-        the escrowed state of a fully-replaced committee), so a swap-all
-        replacement never sees an empty fresh joiner and concludes the
-        transfer is free.
-        """
-        source = cluster.state_source_replica()
-        return source.state.size_bytes() if source is not None else 0
-
     def _record_membership_margins(self, stats: EpochTransitionStats) -> None:
         """Sample each committee's active-members-minus-quorum margin."""
         for shard_id, cluster in self.shards.items():
-            if not cluster.replicas:
-                continue
-            margin = (len(cluster.active_replicas())
-                      - cluster.config.quorum_size(len(cluster.replicas)))
-            previous = stats.min_active_margin.get(shard_id)
-            if previous is None or margin < previous:
-                stats.min_active_margin[shard_id] = margin
-
-    def _complete_transition(self, transition: _ActiveTransition) -> None:
-        self.epochs.complete_transition(self.runtime.now)
-        transition.stats.completed_at = self.runtime.now
-        self.reconfigurations_completed += 1
-        self._active_transition = None
-        if self.analytics is not None:
-            # The single wiring point (shared with the scale-out engine) that
-            # materializes a finished transition's quorum margins.
-            self.analytics.record_epoch_transition(
-                transition.stats.epoch, transition.stats.strategy,
-                transition.stats.min_active_margin)
-
-    def throughput_over_time(self, bucket_seconds: float = 5.0) -> List[tuple]:
-        """Committed-transaction rate over time, aggregated across shards."""
-        commits: List[tuple] = []
-        for record in self.coordinator.records.values():
-            if record.outcome is DistributedTxOutcome.COMMITTED and record.completed_at is not None:
-                commits.append((record.completed_at, 1.0))
-        from repro.sim.monitor import TimeSeries
-        series = TimeSeries.from_samples("commits", commits)
-        return series.bucketed_rate(bucket_seconds, until=self.runtime.now)
+            margin = quorum_margin(cluster)
+            if margin is not None:
+                stats.record_margin(shard_id, margin)

@@ -51,6 +51,20 @@ DONE = DistributedTxPhase.DONE
 ShardItem = Tuple[int, Transaction, float]
 
 
+def route_transaction(splitter: Any, tx: Transaction,
+                      shard_of: Callable[[str], int]) -> List[int]:
+    """The shards whose state a benchmark transaction touches.
+
+    Asks the benchmark's splitter; a transaction it cannot parse falls back
+    to the shards of its declared keys (shard 0 if it declares none).
+    """
+    try:
+        return splitter.shards_touched(tx, shard_of)
+    except Exception:
+        shards = {shard_of(key) for key in tx.keys}
+        return sorted(shards) if shards else [0]
+
+
 class TwoPhaseCommitDriver:
     """Drives distributed transactions through 2PC for one coordinator.
 
@@ -90,11 +104,7 @@ class TwoPhaseCommitDriver:
     # ------------------------------------------------------------- routing
     def shards_of(self, tx: Transaction) -> List[int]:
         """The shards whose state a benchmark transaction touches."""
-        try:
-            return self.splitter.shards_touched(tx, self.shard_of)
-        except Exception:
-            shards = {self.shard_of(key) for key in tx.keys}
-            return sorted(shards) if shards else [0]
+        return route_transaction(self.splitter, tx, self.shard_of)
 
     def _order(self, per_shard: Dict[int, Transaction]) -> List[int]:
         return sorted(per_shard) if self.sort_shards else list(per_shard)

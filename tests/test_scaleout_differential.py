@@ -250,13 +250,15 @@ def test_process_mode_refuses_audit():
     system.close()
 
 
-def test_direct_shard_submit_is_a_protocol_bug():
-    from repro.errors import SimulationError
-    from repro.workloads.generator import WorkloadGenerator
-
+def test_throughput_over_time_is_legacy_only():
+    """The commit-rate series reads the one in-simulation coordinator's
+    records; the scale-out parent has none, so asking it must fail loudly
+    rather than return an all-zero series for a run that committed."""
+    rebase_tx_counter(0)
     system = build_system(ShardedSystemConfig(**_base_config(), workers=1))
-    tx = WorkloadGenerator(benchmark="smallbank", num_shards=3,
-                           num_keys=400, seed=1).next_transaction("c", 0.0)
-    with pytest.raises(SimulationError):
-        system.shards[0].submit([tx])
+    driver = OpenLoopDriver(system, rate_tps=RATE, max_transactions=TXS)
+    stats = driver.run_to_completion()
+    assert stats.committed > 0
+    with pytest.raises(AttributeError):
+        system.throughput_over_time(bucket_seconds=1.0)
     system.close()
