@@ -32,10 +32,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
 import time
 
@@ -44,6 +40,8 @@ from repro.core import AdversaryConfig, OpenLoopDriver, ShardedBlockchain, Shard
 from repro.experiments.common import ExperimentScale
 from repro.experiments.fig08_ahl_cluster import run_adversarial_point
 from repro.ledger.transaction import rebase_tx_counter
+
+import harness
 
 MODES = {
     # mode: (matrix transactions, matrix rate tps, headroom window seconds)
@@ -143,20 +141,10 @@ def run_headroom(window_seconds: float, seed: int) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=sorted(MODES), default="quick")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write results JSON to this path")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--baseline", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)),
-        "BENCH_adversary_baseline.json"),
-        help="committed reference fingerprints gated against")
-    args = parser.parse_args(argv)
-
+    args = harness.parser(__doc__, MODES, seed=0,
+                          baseline="BENCH_adversary_baseline.json").parse_args(argv)
     transactions, rate, window = MODES[args.mode]
-    print(f"[bench] mode={args.mode} python={platform.python_version()} "
-          f"workload={WORKLOAD} txns={transactions} rate={rate}tps")
+    harness.header(args.mode, f"workload={WORKLOAD} txns={transactions} rate={rate}tps")
 
     cells = {}
     failures = []
@@ -210,40 +198,24 @@ def main(argv=None) -> int:
     if any(point["violations"] for point in headroom.values()):
         failures.append("headroom runs reported auditor violations")
 
-    report = {
-        "benchmark": "adversary",
-        "mode": args.mode,
-        "python": platform.python_version(),
+    reference = harness.load_baseline(args.baseline)
+    if reference and reference["mode"] == args.mode:
+        for strategy, cell in cells.items():
+            expected = reference["cells"].get(strategy)
+            if expected is not None and fingerprint(cell) != fingerprint(expected):
+                failures.append(
+                    f"{strategy}: fingerprint {fingerprint(cell)} != committed "
+                    f"baseline {fingerprint(expected)}")
+        print(f"[bench] gate: {len(cells)} cell fingerprints vs committed baseline")
+
+    return harness.finish("adversary", args, {
         "workload": dict(WORKLOAD),
         "transactions": transactions,
         "rate_tps": rate,
         "cells": cells,
         "headroom": headroom,
         "deterministic": deterministic,
-    }
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"[bench] wrote {args.output}")
-
-    reference = None
-    if os.path.exists(args.baseline):
-        with open(args.baseline, encoding="utf-8") as handle:
-            reference = json.load(handle)
-    if reference and reference["mode"] == args.mode:
-        for strategy, cell in cells.items():
-            expected = reference["cells"].get(strategy)
-            if expected is None:
-                continue
-            if fingerprint(cell) != fingerprint(expected):
-                failures.append(
-                    f"{strategy}: fingerprint {fingerprint(cell)} != committed "
-                    f"baseline {fingerprint(expected)}")
-        print(f"[bench] gate: {len(cells)} cell fingerprints vs committed baseline")
-
-    for failure in failures:
-        print(f"[bench] FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    }, failures)
 
 
 if __name__ == "__main__":

@@ -27,13 +27,8 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
-import os
-import platform
 import statistics
-import sys
 import time
 
 from repro.audit.auditor import SafetyAuditor
@@ -42,6 +37,8 @@ from repro.ledger.block import build_block, merkle_root_of
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.index import LedgerIndex
 from repro.ledger.transaction import rebase_tx_counter
+
+import harness
 
 MODES = {
     # mode: (header-only blocks for the flat-cost phase, txns per scenario).
@@ -178,19 +175,11 @@ def run_scenario(name: str, overrides: dict, txns: int) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=sorted(MODES), default="quick")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write results JSON to this path")
-    parser.add_argument("--baseline", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)),
-        "BENCH_analytics_baseline.json"),
-        help="committed reference numbers (informational comparison)")
-    args = parser.parse_args(argv)
-
+    args = harness.parser(__doc__, MODES,
+                          baseline="BENCH_analytics_baseline.json").parse_args(argv)
     total_blocks, txns = MODES[args.mode]
-    print(f"[bench] mode={args.mode} python={platform.python_version()} "
-          f"blocks={total_blocks} slice={SLICE_BLOCKS} scenario_txns={txns}")
+    harness.header(args.mode, f"blocks={total_blocks} slice={SLICE_BLOCKS} "
+                   f"scenario_txns={txns}")
 
     flat = run_flat_cost(total_blocks)
     print(f"[bench] flat-cost: {flat['blocks']} blocks in "
@@ -209,55 +198,33 @@ def main(argv=None) -> int:
               f"{result['shards_indexed']}, epochs {result['epochs_seen']}, "
               f"{result['wall_seconds']}s)")
 
-    reference = None
-    if os.path.exists(args.baseline):
-        with open(args.baseline, encoding="utf-8") as handle:
-            reference = json.load(handle)
-    if reference is not None and reference.get("mode") != args.mode:
-        reference = None
-    if reference:
+    # The committed baseline is informational here: same-mode numbers only.
+    reference = harness.load_baseline(args.baseline)
+    if reference and reference.get("mode") == args.mode:
         base_flat = reference.get("flat_cost", {})
         print(f"[bench] committed baseline: cost ratio "
               f"{base_flat.get('cost_ratio')}x, "
               f"{base_flat.get('blocks_per_second')} blocks/s")
 
-    report = {
-        "benchmark": "analytics",
-        "mode": args.mode,
-        "python": platform.python_version(),
-        "cpus": os.cpu_count() or 1,
-        "flat_cost": flat,
-        "scenarios": scenarios,
-    }
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"[bench] wrote {args.output}")
-
     # ------------------------------------------------------------------ gates
-    failed = False
+    failures = []
     print(f"[bench] gate: audit slice cost ratio {flat['cost_ratio']}x vs "
           f"ceiling 1.5x")
     if flat["cost_ratio"] > 1.5:
-        print(f"[bench] FAIL: audit slice cost grew {flat['cost_ratio']}x "
-              f"from the first to the last decile — the audit is not "
-              f"O(blocks since last check)", file=sys.stderr)
-        failed = True
+        failures.append(f"audit slice cost grew {flat['cost_ratio']}x from the "
+                        f"first to the last decile — the audit is not "
+                        f"O(blocks since last check)")
     for name, result in scenarios.items():
         if not result["settled"] or not result["audit_ok"]:
-            print(f"[bench] FAIL: scenario {name} audit violations: "
-                  f"{result['violations']}", file=sys.stderr)
-            failed = True
+            failures.append(f"scenario {name} audit violations: "
+                            f"{result['violations']}")
         if not result["oracle_ok"]:
-            print(f"[bench] FAIL: scenario {name} incremental index diverged "
-                  f"from the rebuild: {result['oracle_detail']}",
-                  file=sys.stderr)
-            failed = True
+            failures.append(f"scenario {name} incremental index diverged from "
+                            f"the rebuild: {result['oracle_detail']}")
         if result["blocks_indexed"] == 0:
-            print(f"[bench] FAIL: scenario {name} indexed nothing",
-                  file=sys.stderr)
-            failed = True
-    return 1 if failed else 0
+            failures.append(f"scenario {name} indexed nothing")
+    return harness.finish("analytics", args,
+                          {"flat_cost": flat, "scenarios": scenarios}, failures)
 
 
 if __name__ == "__main__":

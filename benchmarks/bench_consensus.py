@@ -30,10 +30,7 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 import resource
 import sys
 import time
@@ -47,6 +44,8 @@ from repro.crypto.merkle import MerkleTree
 from repro.ledger.block import Block, BlockHeader
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.transaction import TxStatus
+
+import harness
 
 
 # --------------------------------------------------------------------------
@@ -391,18 +390,10 @@ BOUNDED_OVERRIDES = dict(ledger_retention="headers", ledger_retain_recent=64,
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=sorted(MODES), default="quick")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write results JSON to this path")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--baseline", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "BENCH_consensus_baseline.json"),
-        help="committed reference numbers used by the regression gate")
-    args = parser.parse_args(argv)
-
+    args = harness.parser(__doc__, MODES, seed=7,
+                          baseline="BENCH_consensus_baseline.json").parse_args(argv)
     txns, rate, bounded_txns = MODES[args.mode]
-    print(f"[bench] mode={args.mode} python={platform.python_version()}")
+    harness.header(args.mode)
 
     # The two timed head-to-head runs are configured identically (no in-run
     # instrumentation); state high-water sampling happens in the bounded run.
@@ -434,49 +425,35 @@ def main(argv=None) -> int:
               f"{bounded['peak_rss_bytes'] / 1e6:.0f} MB, "
               f"state high-water {bounded['state_highwater']}")
 
-    report = {
-        "benchmark": "consensus",
-        "mode": args.mode,
-        "python": platform.python_version(),
+    failures = []
+    if not equivalent:
+        failures.append("optimized path changed simulation outcomes")
+    if optimized["committed"] == 0:
+        failures.append("committee committed nothing")
+    # Regression gate: relative to the committed baseline's speedup so the
+    # check is robust to runner hardware (>20% regression fails).
+    reference_speedup = (harness.load_baseline(args.baseline) or {}).get(
+        "speedup_blocks_per_sec")
+    if reference_speedup:
+        floor = 0.8 * reference_speedup
+        print(f"[bench] gate: speedup {speedup:.2f}x vs committed {reference_speedup}x "
+              f"(floor {floor:.2f}x)")
+        if speedup < floor:
+            failures.append(f"speedup {speedup:.2f}x below {floor:.2f}x "
+                            f"(>20% regression vs committed baseline)")
+    elif speedup < 2.0:
+        # No committed baseline available: fall back to the absolute target.
+        failures.append(f"speedup {speedup:.2f}x below the 2x target and no "
+                        "committed baseline found")
+
+    return harness.finish("consensus", args, {
         "legacy": legacy,
         "optimized": optimized,
         "speedup_blocks_per_sec": round(speedup, 2),
         "equivalent_counts": equivalent,
         "bounded_run": bounded,
         "peak_rss_bytes": peak_rss_bytes(),
-    }
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"[bench] wrote {args.output}")
-
-    if not equivalent:
-        print("[bench] FAIL: optimized path changed simulation outcomes", file=sys.stderr)
-        return 1
-    if optimized["committed"] == 0:
-        print("[bench] FAIL: committee committed nothing", file=sys.stderr)
-        return 1
-
-    # Regression gate: relative to the committed baseline's speedup so the
-    # check is robust to runner hardware (>20% regression fails).
-    reference_speedup = None
-    if os.path.exists(args.baseline):
-        with open(args.baseline, encoding="utf-8") as handle:
-            reference_speedup = json.load(handle).get("speedup_blocks_per_sec")
-    if reference_speedup:
-        floor = 0.8 * reference_speedup
-        print(f"[bench] gate: speedup {speedup:.2f}x vs committed {reference_speedup}x "
-              f"(floor {floor:.2f}x)")
-        if speedup < floor:
-            print(f"[bench] FAIL: speedup {speedup:.2f}x below {floor:.2f}x "
-                  f"(>20% regression vs committed baseline)", file=sys.stderr)
-            return 1
-    elif speedup < 2.0:
-        # No committed baseline available: fall back to the absolute target.
-        print(f"[bench] FAIL: speedup {speedup:.2f}x below the 2x target "
-              "and no committed baseline found", file=sys.stderr)
-        return 1
-    return 0
+    }, failures)
 
 
 if __name__ == "__main__":

@@ -28,14 +28,11 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import time
 
 from repro.core import OpenLoopDriver, ShardedBlockchain, ShardedSystemConfig
+
+import harness
 
 MODES = {
     # mode: (transactions, rate tps)
@@ -82,19 +79,10 @@ def counts_of(run: dict) -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=sorted(MODES), default="quick")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write results JSON to this path")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--baseline", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "BENCH_cross_shard_baseline.json"),
-        help="committed reference numbers used by the regression gate")
-    args = parser.parse_args(argv)
-
+    args = harness.parser(__doc__, MODES, seed=7,
+                          baseline="BENCH_cross_shard_baseline.json").parse_args(argv)
     transactions, rate = MODES[args.mode]
-    print(f"[bench] mode={args.mode} python={platform.python_version()} "
-          f"workload={WORKLOAD} txns={transactions}")
+    harness.header(args.mode, f"workload={WORKLOAD} txns={transactions}")
 
     runs = {}
     for policy in ("abort", "wait", "wound-wait"):
@@ -119,41 +107,21 @@ def main(argv=None) -> int:
         print(f"[bench] {policy} reduces abort rate by {reduction:.1%} "
               f"({abort_rate:.3f} -> {runs[policy]['abort_rate']:.3f})")
 
-    report = {
-        "benchmark": "cross_shard",
-        "mode": args.mode,
-        "python": platform.python_version(),
-        "workload": WORKLOAD,
-        "runs": runs,
-        "abort_rate_reduction": {k: round(v, 4) for k, v in reductions.items()},
-        "deterministic": deterministic,
-    }
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"[bench] wrote {args.output}")
-
     # ------------------------------------------------------------------ gates
+    failures = []
     if not deterministic:
-        print("[bench] FAIL: same-seed abort runs diverged", file=sys.stderr)
-        return 1
+        failures.append("same-seed abort runs diverged")
     if runs["abort"]["committed"] == 0:
-        print("[bench] FAIL: nothing committed", file=sys.stderr)
-        return 1
+        failures.append("nothing committed")
     if abort_rate < 0.15:
-        print(f"[bench] FAIL: workload not contended enough "
-              f"(abort-policy abort rate {abort_rate:.3f} < 0.15)", file=sys.stderr)
-        return 1
+        failures.append(f"workload not contended enough "
+                        f"(abort-policy abort rate {abort_rate:.3f} < 0.15)")
     for policy, reduction in reductions.items():
         if reduction < 0.15:
-            print(f"[bench] FAIL: {policy} reduced the abort rate by only "
-                  f"{reduction:.1%} (< 15%)", file=sys.stderr)
-            return 1
+            failures.append(f"{policy} reduced the abort rate by only "
+                            f"{reduction:.1%} (< 15%)")
 
-    reference = None
-    if os.path.exists(args.baseline):
-        with open(args.baseline, encoding="utf-8") as handle:
-            reference = json.load(handle)
+    reference = harness.load_baseline(args.baseline)
     if reference:
         for policy in ("abort", "wait", "wound-wait"):
             committed_tps = runs[policy]["committed_tps_sim"]
@@ -161,11 +129,16 @@ def main(argv=None) -> int:
             print(f"[bench] gate: {policy} {committed_tps} committed tps (sim) "
                   f"vs floor {floor:.1f}")
             if committed_tps < floor:
-                print(f"[bench] FAIL: {policy} simulated throughput "
-                      f"{committed_tps} below {floor:.1f} (>20% regression vs "
-                      f"committed baseline)", file=sys.stderr)
-                return 1
-    return 0
+                failures.append(f"{policy} simulated throughput {committed_tps} "
+                                f"below {floor:.1f} (>20% regression vs "
+                                f"committed baseline)")
+
+    return harness.finish("cross_shard", args, {
+        "workload": WORKLOAD,
+        "runs": runs,
+        "abort_rate_reduction": {k: round(v, 4) for k, v in reductions.items()},
+        "deterministic": deterministic,
+    }, failures)
 
 
 if __name__ == "__main__":

@@ -26,12 +26,8 @@ through an 8-shard deployment (a few minutes of wall clock).
 
 from __future__ import annotations
 
-import argparse
 import heapq
 import itertools
-import json
-import platform
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -41,6 +37,8 @@ from repro.core.driver import OpenLoopDriver
 from repro.core.system import ShardedBlockchain
 from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
+
+import harness
 
 
 # --------------------------------------------------------------------------
@@ -185,18 +183,13 @@ MODES = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=sorted(MODES), default="quick")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write results JSON to this path")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--skip-determinism", action="store_true",
-                        help="run the end-to-end benchmark once instead of twice")
-    args = parser.parse_args(argv)
-
+    cli = harness.parser(__doc__, MODES, seed=7)
+    cli.add_argument("--skip-determinism", action="store_true",
+                     help="run the end-to-end benchmark once instead of twice")
+    args = cli.parse_args(argv)
     micro_events, txns, shards, committee, rate, keys, cap = MODES[args.mode]
+    harness.header(args.mode)
 
-    print(f"[bench] mode={args.mode} python={platform.python_version()}")
     micro = run_micro(micro_events)
     print(f"[bench] queue: {micro['queue_events_per_sec']:,} ev/s "
           f"(legacy {micro['legacy_queue_events_per_sec']:,} ev/s, "
@@ -217,32 +210,18 @@ def main(argv=None) -> int:
         print(f"[bench] determinism: run2 {second['committed']}/{second['aborted']} "
               f"-> {'OK' if deterministic else 'MISMATCH'}")
 
-    report = {
-        "benchmark": "engine",
-        "mode": args.mode,
-        "python": platform.python_version(),
-        "micro": micro,
-        "end_to_end": first,
-        "deterministic": deterministic,
-    }
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"[bench] wrote {args.output}")
-
+    failures = []
     # The measured speedup is ~2.1-2.3x on an idle machine; the hard gate
     # sits at 1.5x so neighbour noise on shared CI runners cannot flake the
     # job while a genuine regression (losing the slab/heap win) still fails.
     if micro["queue_speedup_vs_legacy"] < 1.5:
-        print("[bench] FAIL: event-queue speedup below 1.5x", file=sys.stderr)
-        return 1
+        failures.append("event-queue speedup below 1.5x")
     if deterministic is False:
-        print("[bench] FAIL: end-to-end run is not seed-deterministic", file=sys.stderr)
-        return 1
+        failures.append("end-to-end run is not seed-deterministic")
     if first["committed"] == 0:
-        print("[bench] FAIL: end-to-end run committed nothing", file=sys.stderr)
-        return 1
-    return 0
+        failures.append("end-to-end run committed nothing")
+    return harness.finish("engine", args, {"micro": micro, "end_to_end": first,
+                                           "deterministic": deterministic}, failures)
 
 
 if __name__ == "__main__":

@@ -29,10 +29,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
 import time
 import warnings
@@ -43,6 +39,8 @@ from repro.experiments.fig12_reconfiguration import (
     WORKLOAD as FIG12_WORKLOAD,
 )
 from repro.ledger.transaction import rebase_tx_counter
+
+import harness
 
 MODES = {
     # mode: (duration seconds, arrival rate tps)
@@ -106,20 +104,10 @@ def counts_of(run: dict) -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=sorted(MODES), default="quick")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write results JSON to this path")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--baseline", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)),
-        "BENCH_reconfiguration_baseline.json"),
-        help="committed reference numbers used by the fast-path gate")
-    args = parser.parse_args(argv)
-
+    args = harness.parser(__doc__, MODES, seed=0,
+                          baseline="BENCH_reconfiguration_baseline.json").parse_args(argv)
     duration, rate = MODES[args.mode]
-    print(f"[bench] mode={args.mode} python={platform.python_version()} "
-          f"workload={WORKLOAD} duration={duration}s rate={rate}tps")
+    harness.header(args.mode, f"workload={WORKLOAD} duration={duration}s rate={rate}tps")
 
     runs = {}
     for strategy in (None, "swap-batch", "swap-all"):
@@ -141,54 +129,39 @@ def main(argv=None) -> int:
                     if baseline_tps else 0.0)
     print(f"[bench] swap-batch availability: {availability:.1%} of no-reshard")
 
-    report = {
-        "benchmark": "reconfiguration",
-        "mode": args.mode,
-        "python": platform.python_version(),
-        "workload": {key: value for key, value in WORKLOAD.items()},
-        "duration": duration,
-        "rate_tps": rate,
-        "runs": runs,
-        "swap_batch_availability": round(availability, 4),
-        "deterministic": deterministic,
-    }
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"[bench] wrote {args.output}")
-
     # ------------------------------------------------------------------ gates
+    failures = []
     if not deterministic:
-        print("[bench] FAIL: same-seed swap-batch runs diverged", file=sys.stderr)
-        return 1
+        failures.append("same-seed swap-batch runs diverged")
     if runs["swap-batch"]["nodes_migrated"] == 0:
-        print("[bench] FAIL: no membership changed under swap-batch", file=sys.stderr)
-        return 1
+        failures.append("no membership changed under swap-batch")
     if availability < 0.9:
-        print(f"[bench] FAIL: swap-batch availability {availability:.1%} < 90% "
-              "of the no-reshard baseline", file=sys.stderr)
-        return 1
+        failures.append(f"swap-batch availability {availability:.1%} < 90% "
+                        "of the no-reshard baseline")
     trough_floor = 0.5 * baseline_tps
     if runs["swap-all"]["min_window_tps"] > trough_floor:
-        print(f"[bench] FAIL: swap-all window minimum "
-              f"{runs['swap-all']['min_window_tps']} tps shows no trough "
-              f"(expected <= {trough_floor:.1f})", file=sys.stderr)
-        return 1
+        failures.append(f"swap-all window minimum "
+                        f"{runs['swap-all']['min_window_tps']} tps shows no trough "
+                        f"(expected <= {trough_floor:.1f})")
 
-    reference = None
-    if os.path.exists(args.baseline):
-        with open(args.baseline, encoding="utf-8") as handle:
-            reference = json.load(handle)
+    reference = harness.load_baseline(args.baseline)
     if reference and reference["mode"] == args.mode:
         expected = tuple(counts_of(reference["runs"]["no_reshard"]))
         actual = counts_of(runs["no_reshard"])
         print(f"[bench] gate: no-epoch fast path {actual} vs committed {expected}")
         if actual != expected:
-            print("[bench] FAIL: the no-epoch fast path no longer reproduces "
-                  "the committed baseline exactly — the epoch machinery leaked "
-                  "into the default path", file=sys.stderr)
-            return 1
-    return 0
+            failures.append("the no-epoch fast path no longer reproduces the "
+                            "committed baseline exactly — the epoch machinery "
+                            "leaked into the default path")
+
+    return harness.finish("reconfiguration", args, {
+        "workload": dict(WORKLOAD),
+        "duration": duration,
+        "rate_tps": rate,
+        "runs": runs,
+        "swap_batch_availability": round(availability, 4),
+        "deterministic": deterministic,
+    }, failures)
 
 
 if __name__ == "__main__":

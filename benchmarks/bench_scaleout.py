@@ -15,8 +15,7 @@ worker processes (``workers=4``), and gates on the engine's whole contract:
    (``repro.core.homecoord``), the serial fraction is the parent's barrier
    merge only, so near-linear scaling is the expectation, not the
    aspiration.  2-cpu hosts are floor-limited to 1.5x by Amdahl's law;
-   single-cpu hosts only report.  ``SCALEOUT_MIN_SPEEDUP`` overrides the
-   ≥4-cpu floor.
+   single-cpu hosts only report.
 3. **Coordinator work share** — the parent tier's share of barrier-loop
    wall-clock must stay < 20% on ≥4-cpu runners.  This is the tentpole
    metric of the distributed-coordination design: the parent only merges
@@ -38,16 +37,13 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import time
 
 from repro.audit.auditor import SafetyAuditor
 from repro.core import OpenLoopDriver, ShardedSystemConfig, build_system
 from repro.ledger.transaction import rebase_tx_counter
+
+import harness
 
 MODES = {
     # mode: (transactions, rate tps, shards, keys) — the key space scales
@@ -122,24 +118,16 @@ def run_workers(workers: int, num_shards: int, num_keys: int, transactions: int,
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=sorted(MODES), default="quick")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write results JSON to this path")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=4,
-                        help="worker count of the parallel run")
-    parser.add_argument("--baseline", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "BENCH_scaleout_baseline.json"),
-        help="committed reference numbers used by the regression gate")
-    args = parser.parse_args(argv)
-
+    cli = harness.parser(__doc__, MODES, seed=7,
+                         baseline="BENCH_scaleout_baseline.json")
+    cli.add_argument("--workers", type=int, default=4,
+                     help="worker count of the parallel run")
+    args = cli.parse_args(argv)
     transactions, rate, num_shards, num_keys = MODES[args.mode]
     workload = dict(WORKLOAD, num_keys=num_keys)
-    cpus = os.cpu_count() or 1
-    print(f"[bench] mode={args.mode} python={platform.python_version()} "
-          f"cpus={cpus} shards={num_shards} txns={transactions} "
-          f"workload={workload}")
+    cpus = harness.CPUS
+    harness.header(args.mode, f"shards={num_shards} txns={transactions} "
+                   f"workload={workload}")
 
     # The parallel run goes first: its workers fork from a pristine parent
     # heap.  Forking *after* an inline run would make every child fault-in
@@ -173,49 +161,25 @@ def main(argv=None) -> int:
           f"ok={audit['ok']} ({audit['blocks_audited']} blocks, "
           f"{audit['transactions_audited']} tx positions)")
 
-    reference = None
-    if os.path.exists(args.baseline):
-        with open(args.baseline, encoding="utf-8") as handle:
-            reference = json.load(handle)
+    reference = harness.load_baseline(args.baseline)
     if reference is not None and reference.get("mode") != args.mode:
         reference = None
     speedup_vs_baseline = (round(speedup / reference["speedup"], 2)
                            if reference and reference.get("speedup") else None)
 
-    report = {
-        "benchmark": "scaleout",
-        "mode": args.mode,
-        "python": platform.python_version(),
-        "cpus": cpus,
-        "num_shards": num_shards,
-        "workload": workload,
-        "runs": {"inline": inline, "parallel": parallel, "audited": audited},
-        "fingerprint_match": fingerprint_match,
-        "speedup": round(speedup, 2),
-        "coordinator_work_share": work_share,
-        "speedup_vs_baseline": speedup_vs_baseline,
-    }
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"[bench] wrote {args.output}")
-
     # ------------------------------------------------------------------ gates
+    failures = []
     if not fingerprint_match:
-        print(f"[bench] FAIL: workers={args.workers} fingerprint diverged from "
-              f"workers=1:\n  {inline['fingerprint']}\n  "
-              f"{parallel['fingerprint']}", file=sys.stderr)
-        return 1
+        failures.append(f"workers={args.workers} fingerprint diverged from "
+                        f"workers=1:\n  {inline['fingerprint']}\n  "
+                        f"{parallel['fingerprint']}")
     if inline["committed"] == 0:
-        print("[bench] FAIL: nothing committed", file=sys.stderr)
-        return 1
+        failures.append("nothing committed")
     if not audit["settled"] or not audit["ok"]:
-        print(f"[bench] FAIL: safety audit violations: {audit['violations']}",
-              file=sys.stderr)
-        return 1
+        failures.append(f"safety audit violations: {audit['violations']}")
 
     if cpus >= 4:
-        min_speedup = float(os.environ.get("SCALEOUT_MIN_SPEEDUP", "2.4"))
+        min_speedup = 2.4
     elif cpus >= 2:
         min_speedup = 1.5  # Amdahl cap: 2 cpus can't reach 2.4x
     else:
@@ -224,9 +188,8 @@ def main(argv=None) -> int:
         print(f"[bench] gate: speedup {speedup:.2f}x vs floor {min_speedup}x "
               f"({cpus} cpus)")
         if speedup < min_speedup:
-            print(f"[bench] FAIL: speedup {speedup:.2f}x below {min_speedup}x "
-                  f"at {args.workers} workers on {cpus} cpus", file=sys.stderr)
-            return 1
+            failures.append(f"speedup {speedup:.2f}x below {min_speedup}x "
+                            f"at {args.workers} workers on {cpus} cpus")
     else:
         print(f"[bench] speedup gate skipped: single-cpu host ({cpus} cpu)")
 
@@ -234,10 +197,9 @@ def main(argv=None) -> int:
         print(f"[bench] gate: coordinator work share {work_share:.1%} vs "
               f"ceiling 20.0%")
         if work_share >= 0.20:
-            print(f"[bench] FAIL: parent coordinator work share {work_share:.1%}"
-                  f" >= 20% of the barrier loop — the parent tier is doing "
-                  f"partition work", file=sys.stderr)
-            return 1
+            failures.append(f"parent coordinator work share {work_share:.1%} "
+                            f">= 20% of the barrier loop — the parent tier is "
+                            f"doing partition work")
 
     if reference:
         committed_tps = inline["committed_tps_sim"]
@@ -245,15 +207,22 @@ def main(argv=None) -> int:
         print(f"[bench] gate: {committed_tps} committed tps (sim) vs floor "
               f"{floor:.1f}")
         if committed_tps < floor:
-            print(f"[bench] FAIL: simulated throughput {committed_tps} below "
-                  f"{floor:.1f} (>20% regression vs committed baseline)",
-                  file=sys.stderr)
-            return 1
+            failures.append(f"simulated throughput {committed_tps} below "
+                            f"{floor:.1f} (>20% regression vs committed baseline)")
         if speedup_vs_baseline is not None:
             print(f"[bench] speedup vs committed baseline: "
                   f"{speedup_vs_baseline}x (baseline {reference['speedup']}x "
                   f"on {reference.get('cpus', '?')} cpus)")
-    return 0
+
+    return harness.finish("scaleout", args, {
+        "num_shards": num_shards,
+        "workload": workload,
+        "runs": {"inline": inline, "parallel": parallel, "audited": audited},
+        "fingerprint_match": fingerprint_match,
+        "speedup": round(speedup, 2),
+        "coordinator_work_share": work_share,
+        "speedup_vs_baseline": speedup_vs_baseline,
+    }, failures)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Service-mode smoke benchmark: the live gateway vs its simulated twin.
 
-What it does (the CI ``service-smoke`` job runs ``--mode quick``):
+What it does (the CI ``service-smoke`` job runs ``--mode quick``, the
+nightly ``bench-full`` matrix ``--mode full``):
 
 1. Records a smallbank workload (1k transactions in quick mode).
 2. Replays it serially through the *simulated* system (trusted 2PC, no
@@ -30,8 +31,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import statistics
 import sys
@@ -48,6 +47,7 @@ from repro.service.client import ServiceHTTPError
 from repro.workloads.generator import WorkloadGenerator, shard_of_key
 from repro.workloads.smallbank import DEFAULT_BALANCE, account_key
 
+import harness
 from service_harness import ServeProcess
 
 #: mode -> (serial transactions, concurrent transactions)
@@ -147,11 +147,11 @@ def run_service_concurrent(serve: ServeProcess, count: int) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=sorted(MODES), default="quick")
-    parser.add_argument("-o", "--output", default="BENCH_service.json")
-    args = parser.parse_args(argv)
+    args = harness.parser(__doc__, MODES, output="BENCH_service.json").parse_args(argv)
     serial_count, concurrent_count = MODES[args.mode]
+    harness.header(args.mode, f"shards={NUM_SHARDS} committee={COMMITTEE} "
+                   f"protocol={PROTOCOL} serial={serial_count} "
+                   f"concurrent={concurrent_count}")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "workload.jsonl")
@@ -186,20 +186,26 @@ def main(argv=None) -> int:
         failures.append(f"sim-twin auditor violations: {audit.summary()}")
 
     ordered = sorted(latencies)
-    report = {
-        "mode": args.mode,
+    serial = {
+        "transactions": len(service_outcomes),
+        "committed": service_outcomes.count("committed"),
+        "aborted": service_outcomes.count("aborted"),
+        "elapsed_s": round(serial_elapsed, 3),
+        "tps": round(len(service_outcomes) / serial_elapsed, 2),
+        "latency_p50_ms": round(1e3 * statistics.median(ordered), 3),
+        "latency_p99_ms": round(1e3 * ordered[int(0.99 * (len(ordered) - 1))], 3),
+        "latency_mean_ms": round(1e3 * statistics.fmean(ordered), 3),
+    }
+    print(f"[bench] serial: {serial}")
+    print(f"[bench] concurrent: {concurrent}")
+    if not failures:
+        print(f"[bench] ok: {len(service_outcomes)} serial + "
+              f"{concurrent['transactions']} concurrent transactions, "
+              f"sim-equivalent, auditor clean")
+    return harness.finish("service", args, {
         "config": {"shards": NUM_SHARDS, "committee": COMMITTEE,
                    "protocol": PROTOCOL, "seed": SEED, "num_keys": NUM_KEYS},
-        "serial": {
-            "transactions": len(service_outcomes),
-            "committed": service_outcomes.count("committed"),
-            "aborted": service_outcomes.count("aborted"),
-            "elapsed_s": round(serial_elapsed, 3),
-            "tps": round(len(service_outcomes) / serial_elapsed, 2),
-            "latency_p50_ms": round(1e3 * statistics.median(ordered), 3),
-            "latency_p99_ms": round(1e3 * ordered[int(0.99 * (len(ordered) - 1))], 3),
-            "latency_mean_ms": round(1e3 * statistics.fmean(ordered), 3),
-        },
+        "serial": serial,
         "concurrent": concurrent,
         "sim_twin": {"elapsed_s": round(twin_elapsed, 3),
                      "auditor_ok": audit.ok},
@@ -208,18 +214,7 @@ def main(argv=None) -> int:
                   "money_conserved":
                   sum(service_balances.values()) == NUM_KEYS * DEFAULT_BALANCE,
                   "auditor_zero_violations": audit.ok},
-        "failures": failures,
-    }
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print(json.dumps(report["serial"], indent=2))
-    print(json.dumps(report["concurrent"], indent=2))
-    if failures:
-        print("FAILED:", "; ".join(failures), file=sys.stderr)
-        return 1
-    print(f"ok: {len(service_outcomes)} serial + {concurrent['transactions']} "
-          f"concurrent transactions, sim-equivalent, auditor clean")
-    return 0
+    }, failures)
 
 
 if __name__ == "__main__":

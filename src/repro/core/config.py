@@ -112,14 +112,6 @@ class ShardedSystemConfig:
     #: ``None`` uses ``relay_delay`` (the largest valid window, i.e. the
     #: fewest barriers).  Any valid value yields identical outcomes.
     barrier_interval: Optional[float] = None
-    #: How the scale-out engine groups partitions onto worker processes:
-    #: "load" (default) balances partitions over workers by a deterministic
-    #: per-partition weight — the sampled share of the key space each shard
-    #: owns, computed once from config before the run, never from runtime
-    #: load — while "modulo" keeps the legacy ``position % workers`` rule.
-    #: Both choices yield bit-identical simulation results (grouping only
-    #: affects which OS process drains a partition, never event order).
-    worker_assignment: str = "load"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -155,9 +147,6 @@ class ShardedSystemConfig:
                     "adversary must be an AdversaryConfig (or None)")
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError("workers must be at least 1 when set")
-        if self.worker_assignment not in ("load", "modulo"):
-            raise ConfigurationError(
-                "worker_assignment must be 'load' or 'modulo'")
         if self.barrier_interval is not None:
             if self.workers is None:
                 raise ConfigurationError("barrier_interval requires workers")

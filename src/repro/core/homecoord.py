@@ -291,19 +291,13 @@ def assign_partitions(shard_ids: List[int], workers: int,
                       config: ShardedSystemConfig) -> List[List[int]]:
     """Group partitions onto ``workers`` processes (some groups may be empty).
 
-    ``worker_assignment="modulo"`` keeps the legacy ``position % workers``
-    rule; ``"load"`` (the default) runs longest-processing-time greedy over
-    :func:`partition_weights`.  Both are pure functions of ``(shard_ids,
-    workers, config)``; grouping only decides which OS process drains a
-    partition, never the partition's event sequence, so both yield
-    bit-identical outcomes.
+    Longest-processing-time greedy over :func:`partition_weights`: a pure
+    function of ``(shard_ids, workers, config)``.  Grouping only decides
+    which OS process drains a partition, never the partition's event
+    sequence, so any grouping yields bit-identical outcomes.
     """
     workers = max(1, workers)
     groups: List[List[int]] = [[] for _ in range(workers)]
-    if config.worker_assignment == "modulo":
-        for position, shard_id in enumerate(shard_ids):
-            groups[position % workers].append(shard_id)
-        return groups
     weights = partition_weights(config)
     loads = [0.0] * workers
     for shard_id in sorted(shard_ids,

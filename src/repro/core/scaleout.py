@@ -56,13 +56,12 @@ the :class:`~repro.audit.auditor.SafetyAuditor` can attach to — it needs
 the replicas in its own address space).  ``workers=N`` forks N persistent
 worker processes, each owning a fixed partition subset chosen by
 :func:`~repro.core.homecoord.assign_partitions` (deterministic load-aware
-LPT by default, ``position % N`` under ``worker_assignment="modulo"``).
-Because partitions are self-contained and all cross-partition effects are
-window-batched, the grouping cannot affect outcomes: ``workers=N`` executes
-exactly the same per-partition event sequences as ``workers=1``.  Each
-partition additionally owns a disjoint transaction-id stream swapped into
-the process-global counter around its windows, so even transaction *ids*
-are grouping-invariant.
+LPT).  Because partitions are self-contained and all cross-partition
+effects are window-batched, the grouping cannot affect outcomes:
+``workers=N`` executes exactly the same per-partition event sequences as
+``workers=1``.  Each partition additionally owns a disjoint transaction-id
+stream swapped into the process-global counter around its windows, so even
+transaction *ids* are grouping-invariant.
 
 Epoch transitions and the adversary cross partition boundaries, so they are
 decomposed into partition-local control operations exactly as before:
@@ -380,7 +379,10 @@ class ShardPartition:
 # --------------------------------------------------------------------------
 
 class _PartitionGroup:
-    """A fixed set of partitions drained together (one per worker process).
+    """A fixed set of partitions drained together, serially in shard order.
+
+    Each worker process serves one group; with ``workers=1`` one group of
+    every partition is itself the executor.
 
     Commands routed between two partitions of the same group are *held*
     locally instead of travelling through the parent — but they are still
@@ -449,65 +451,27 @@ class _PartitionGroup:
         return (sum(p.sim.pending_events for p in self.partitions.values())
                 + len(self._held))
 
-
-class _InlineExecutor:
-    """All partitions in this process, drained serially in shard order."""
-
-    def __init__(self, config: ShardedSystemConfig, shard_ids: List[int],
-                 driver_specs: List[Dict[str, Any]]) -> None:
-        self.group = _PartitionGroup(config, shard_ids, driver_specs)
-
-    @property
-    def partitions(self) -> Dict[int, ShardPartition]:
-        return self.group.partitions
-
-    def run_window(self, block: WindowBlock) -> WindowResult:
-        return self.group.run_window(block)
-
-    def add_driver(self, index: int, spec: Dict[str, Any]) -> None:
-        self.group.add_driver(index, spec)
-
-    def summaries(self) -> Dict[int, Dict[str, int]]:
-        return self.group.summaries()
-
-    def coordination_stats(self) -> Dict[int, CoordinatorStats]:
-        return self.group.coordination_stats()
-
-    def driver_stats(self) -> Dict[int, Dict[int, Any]]:
-        return self.group.driver_stats()
-
-    def pending_events(self) -> int:
-        return self.group.pending_events()
-
     def close(self) -> None:
-        pass
+        """Nothing to stop: the group is the inline executor (``workers=1``)."""
 
 
 def _worker_main(conn: Any, config: ShardedSystemConfig, shard_ids: List[int],
                  driver_specs: List[Dict[str, Any]]) -> None:
-    """Worker process loop: build the owned partition group, serve barrier RPCs."""
+    """Worker process loop: build the owned partition group, serve barrier RPCs.
+
+    A request is ``(verb, *args)`` and its reply ``(verb, result)``:
+    ``"window"`` runs the barrier block, ``"stop"`` ends the loop, and any
+    other verb names the :class:`_PartitionGroup` method to call.
+    """
     group = _PartitionGroup(config, shard_ids, driver_specs)
     try:
         while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "window":
-                conn.send(("done", group.run_window(message[1])))
-            elif kind == "drivers":
-                for index, spec in message[1]:
-                    group.add_driver(index, spec)
-                conn.send(("drivers_ok",))
-            elif kind == "summary":
-                conn.send(("summary", group.summaries()))
-            elif kind == "coordination":
-                conn.send(("coordination", group.coordination_stats()))
-            elif kind == "driver_stats":
-                conn.send(("driver_stats", group.driver_stats()))
-            elif kind == "pending":
-                conn.send(("pending", group.pending_events()))
-            elif kind == "stop":
-                conn.send(("bye",))
+            verb, *args = conn.recv()
+            if verb == "stop":
+                conn.send((verb, None))
                 return
+            method = group.run_window if verb == "window" else getattr(group, verb)
+            conn.send((verb, method(*args)))
     except EOFError:  # parent went away; nothing useful left to do
         return
 
@@ -523,7 +487,7 @@ class _ProcessExecutor:
     """Partitions spread over persistent worker processes.
 
     Grouping comes from :func:`~repro.core.homecoord.assign_partitions`
-    (load-aware LPT by default).  A worker that dies mid-window is detected
+    (load-aware LPT).  A worker that dies mid-window is detected
     by polling its liveness while waiting for the reply, so a crash raises a
     clear error naming the lost partitions instead of hanging on a pipe.
     """
@@ -556,7 +520,7 @@ class _ProcessExecutor:
                 f"(exit code {handle.process.exitcode}); cannot send "
                 f"{message[0]!r}") from exc
 
-    def _recv(self, handle: _WorkerHandle, expected: str) -> Any:
+    def _recv(self, handle: _WorkerHandle, verb: str) -> Any:
         try:
             while not handle.conn.poll(0.25):
                 if not handle.process.is_alive():
@@ -569,9 +533,21 @@ class _ProcessExecutor:
             raise SimulationError(
                 f"scale-out worker owning partitions {handle.owned} closed "
                 "its pipe mid-run (see its stderr)") from exc
-        if reply[0] != expected:  # pragma: no cover - protocol bug guard
+        if reply[0] != verb:  # pragma: no cover - protocol bug guard
             raise SimulationError(f"unexpected worker reply {reply[0]!r}")
-        return reply[1] if len(reply) > 1 else None
+        return reply[1]
+
+    def _gather(self, verb: str, *args: Any) -> List[Any]:
+        """Send ``verb`` to every worker, then read every reply: one round trip."""
+        for handle in self._workers:
+            self._send(handle, (verb, *args))
+        return [self._recv(handle, verb) for handle in self._workers]
+
+    def _merged(self, verb: str) -> Dict[int, Any]:
+        merged: Dict[int, Any] = {}
+        for part in self._gather(verb):
+            merged.update(part)
+        return merged
 
     def run_window(self, block: WindowBlock) -> WindowResult:
         by_dest = group_by_dest(block.commands)
@@ -588,45 +564,25 @@ class _ProcessExecutor:
         outputs: List[Any] = []
         routed: List[Command] = []
         for handle in self._workers:
-            result = self._recv(handle, "done")
+            result = self._recv(handle, "window")
             outputs.extend(result.outputs)
             routed.extend(result.routed)
         return WindowResult(outputs=tuple(outputs), routed=tuple(routed))
 
     def add_driver(self, index: int, spec: Dict[str, Any]) -> None:
-        for handle in self._workers:
-            self._send(handle, ("drivers", [(index, spec)]))
-        for handle in self._workers:
-            self._recv(handle, "drivers_ok")
+        self._gather("add_driver", index, spec)
 
     def summaries(self) -> Dict[int, Dict[str, int]]:
-        for handle in self._workers:
-            self._send(handle, ("summary",))
-        merged: Dict[int, Dict[str, int]] = {}
-        for handle in self._workers:
-            merged.update(self._recv(handle, "summary"))
-        return merged
+        return self._merged("summaries")
 
     def coordination_stats(self) -> Dict[int, CoordinatorStats]:
-        for handle in self._workers:
-            self._send(handle, ("coordination",))
-        merged: Dict[int, CoordinatorStats] = {}
-        for handle in self._workers:
-            merged.update(self._recv(handle, "coordination"))
-        return merged
+        return self._merged("coordination_stats")
 
     def driver_stats(self) -> Dict[int, Dict[int, Any]]:
-        for handle in self._workers:
-            self._send(handle, ("driver_stats",))
-        merged: Dict[int, Dict[int, Any]] = {}
-        for handle in self._workers:
-            merged.update(self._recv(handle, "driver_stats"))
-        return merged
+        return self._merged("driver_stats")
 
     def pending_events(self) -> int:
-        for handle in self._workers:
-            self._send(handle, ("pending",))
-        return sum(self._recv(handle, "pending") for handle in self._workers)
+        return sum(self._gather("pending_events"))
 
     def close(self) -> None:
         """Stop the workers; join with a timeout and terminate stragglers."""
@@ -636,7 +592,7 @@ class _ProcessExecutor:
         for handle in self._workers:
             try:
                 handle.conn.send(("stop",))
-                self._recv(handle, "bye")
+                self._recv(handle, "stop")
             except (OSError, SimulationError):
                 pass
             handle.conn.close()
@@ -703,7 +659,7 @@ class ScaleOutShardedBlockchain(ShardedSystemBase):
             if self.config.use_reference_committee:
                 shard_ids.append(REFERENCE_SHARD_ID)
             if self.config.workers <= 1:
-                self._executor = _InlineExecutor(spec, shard_ids,
+                self._executor = _PartitionGroup(spec, shard_ids,
                                                  self._driver_specs)
             else:
                 self._executor = _ProcessExecutor(spec, shard_ids,

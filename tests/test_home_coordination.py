@@ -94,24 +94,12 @@ class TestAssignPartitions:
         assert sorted(sid for group in groups for sid in group) == sorted(shard_ids)
         assert len(groups) == 3
 
-    def test_modulo_assignment_keeps_legacy_rule(self):
-        config = ShardedSystemConfig(num_shards=5, num_keys=400,
-                                     worker_assignment="modulo")
-        groups = assign_partitions([0, 1, 2, 3, 4], 2, config)
-        assert groups == [[0, 2, 4], [1, 3]]
-
     def test_more_workers_than_partitions(self):
         config = ShardedSystemConfig(num_shards=2, num_keys=400,
                                      use_reference_committee=False)
         groups = assign_partitions([0, 1], 5, config)
         assert sorted(sid for group in groups for sid in group) == [0, 1]
         assert sum(1 for group in groups if group) == 2
-
-    def test_invalid_assignment_rejected_by_config(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ShardedSystemConfig(worker_assignment="random")
 
 
 class TestRpcFraming:
